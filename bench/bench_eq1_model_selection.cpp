@@ -4,9 +4,7 @@
 //
 //   (a) constraint sweeps: how the chosen model changes as A_req tightens
 //       and as the device's memory budget M_pro shrinks;
-//   (b) objective swap ("if users pay more attention to Accuracy...");
-//   (c) the deep-RL direction (Sec. III-C): tabular Q-learning convergence
-//       to the exact optimizer across episode budgets.
+//   (b) objective swap ("if users pay more attention to Accuracy...").
 #include "bench_common.h"
 
 #include "common/rng.h"
@@ -16,7 +14,6 @@
 #include "nn/train.h"
 #include "nn/zoo.h"
 #include "selector/capability_db.h"
-#include "selector/rl_selector.h"
 #include "selector/selecting_algorithm.h"
 
 using namespace openei;
@@ -90,33 +87,6 @@ void run_eq1() {
                            .c_str()
                      : "-");
   }
-
-  bench::section("(c) Q-learning selector convergence to the exact optimum");
-  selector::SelectionRequest request;
-  request.objective = selector::Objective::kMinLatency;
-  request.device_name = "raspberry-pi-4";
-  request.requirements.min_accuracy = 0.7;
-  auto exact = selector::select(db, request);
-  std::printf("exact optimum: %s / %s\n",
-              exact ? exact->model_name.c_str() : "none",
-              exact ? exact->package_name.c_str() : "-");
-  std::printf("%-12s %-26s %8s\n", "episodes", "greedy pick", "matches?");
-  for (std::size_t episodes : {50UL, 200UL, 1000UL, 4000UL}) {
-    selector::QLearningOptions options;
-    options.episodes = episodes;
-    // Rewards are deterministic in this bandit, so full-step updates are
-    // exact; smaller alphas only slow convergence between near-tied arms.
-    options.learning_rate = 1.0;
-    selector::QLearningSelector rl(db, options);
-    rl.train(request);
-    auto pick = rl.select(request);
-    bool match = pick && exact && pick->model_name == exact->model_name &&
-                 pick->package_name == exact->package_name;
-    std::printf("%-12zu %-26s %8s\n", episodes,
-                pick ? (pick->model_name + ", " + pick->package_name).c_str()
-                     : "(infeasible)",
-                match ? "yes" : "no");
-  }
 }
 
 void BM_ExactSelect(benchmark::State& state) {
@@ -130,19 +100,6 @@ void BM_ExactSelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactSelect);
-
-void BM_QLearningTrain1000(benchmark::State& state) {
-  static selector::CapabilityDatabase db = build_db();
-  selector::SelectionRequest request;
-  request.objective = selector::Objective::kMinLatency;
-  request.device_name = "raspberry-pi-4";
-  for (auto _ : state) {
-    selector::QLearningSelector rl(db, {.episodes = 1000});
-    rl.train(request);
-    benchmark::DoNotOptimize(rl.select(request));
-  }
-}
-BENCHMARK(BM_QLearningTrain1000);
 
 }  // namespace
 

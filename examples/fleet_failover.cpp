@@ -12,6 +12,7 @@
 // While it runs you can watch from another terminal:
 //   curl http://127.0.0.1:<port>/ei_fleet     # health, ring, placements
 //   curl http://127.0.0.1:<port>/ei_metrics   # ei_fleet_* counters
+#include <cinttypes>
 #include <cstdio>
 
 #include "common/json.h"
@@ -26,8 +27,8 @@ namespace {
 
 void print_topology(net::HttpClient& door) {
   common::Json doc = common::Json::parse(door.get("/ei_fleet").body);
-  std::printf("  up %lld/%lld nodes:", doc.at("up_nodes").as_int(),
-              doc.at("total_nodes").as_int());
+  std::printf("  up %" PRId64 "/%" PRId64 " nodes:",
+              doc.at("up_nodes").as_int(), doc.at("total_nodes").as_int());
   for (const common::Json& node : doc.at("nodes").as_array()) {
     std::printf("  %s=%s(%.0f%%)", node.at("id").as_string().c_str(),
                 node.at("up").as_bool() ? "up" : "DOWN",

@@ -1,18 +1,18 @@
 // Resilient video pipeline — the Sec. IV-C availability requirements in one
 // runnable scenario: a camera streams frames into an edge node's data store;
 // the package manager's streaming pipeline drains and classifies them; the
-// detection API is replicated on a backup node and a failover client rides
-// through the primary's death without dropping service.
+// detection API is replicated across a 2-node fleet and the fleet router
+// rides through the primary owner's death without dropping service.
 #include <cstdio>
 #include <memory>
 
 #include "collab/cloud_edge.h"
 #include "common/rng.h"
 #include "core/edge_node.h"
-#include "core/failover.h"
 #include "net/faults.h"
 #include "data/metrics.h"
 #include "data/synthetic.h"
+#include "fleet/fleet.h"
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "nn/train.h"
@@ -71,14 +71,17 @@ int main() {
               1e3 * std::max(pass1.max_frame_latency_s,
                              pass2.max_frame_latency_s));
 
-  // 2. Failover half: replicate the detection API, kill the primary.
-  core::EdgeNode primary(core::EdgeNodeConfig{hwsim::jetson_tx2(),
-                                              hwsim::openei_package(), 64});
-  core::EdgeNode backup(core::EdgeNodeConfig{hwsim::raspberry_pi_4(),
-                                             hwsim::openei_package(), 64});
-  primary.deploy_model("safety", "detection", detector.clone(), accuracy);
-  backup.deploy_model("safety", "detection", detector.clone(), accuracy);
-  core::FailoverClient client({primary.start_server(0), backup.start_server(0)});
+  // 2. Failover half: a 2-node fleet at replication 2 holds the detection
+  // API on both members; the key's primary owner dies mid-run.
+  fleet::FleetOptions fleet_options;
+  fleet_options.nodes = 2;
+  fleet_options.router.replication = 2;
+  fleet_options.profiles = {hwsim::jetson_tx2(), hwsim::raspberry_pi_4()};
+  fleet::Fleet fleet(fleet_options);
+  fleet.deploy("safety", "detection", detector, accuracy);
+  fleet::Router& router = fleet.router();
+  const std::string key = "safety/detection";
+  std::vector<std::string> owners = router.owners_of(key);
 
   std::string target = "/ei_algorithms/safety/detection?input=[" +
                        [&] {
@@ -91,26 +94,28 @@ int main() {
                        }() +
                        "]";
 
-  auto before = client.get(target);
-  std::printf("request via replica %zu -> %d\n", client.active_replica(),
+  auto before = router.route("GET", target);
+  std::printf("request via %s -> %d\n", owners.front().c_str(),
               before.status);
-  std::printf("!! primary goes down\n");
-  primary.stop_server();
-  auto after = client.get(target);
-  std::printf("request via replica %zu -> %d (failovers: %zu)\n",
-              client.active_replica(), after.status, client.failover_count());
+  std::printf("!! %s goes down\n", owners.front().c_str());
+  fleet.kill(fleet.index_of(owners.front()));
+  auto after = router.route("GET", target);
+  std::printf("request via %s -> %d (failovers: %.0f)\n",
+              router.owners_of(key).front().c_str(), after.status,
+              router.meter().counter("ei_fleet_failovers_total").value());
   bool same = common::Json::parse(before.body).at("predictions") ==
               common::Json::parse(after.body).at("predictions");
   std::printf("prediction identical across failover: %s\n", same ? "yes" : "NO");
 
-  backup.stop_server();
-
-  // 3. Degradation half: the backup comes back as a *flaky* upstream — a
-  // seeded FaultPlan batters the detection route with 5xx bursts, mid-stream
-  // resets and latency spikes while a degrading client falls back to its
-  // local copy of the detector instead of surfacing errors to the caller.
-  std::printf("\n!! backup restarts with a deterministic fault plan\n");
-  auto plan = std::make_shared<net::FaultPlan>(97);
+  // 3. Degradation half: the surviving node turns into a *flaky* upstream —
+  // a seeded FaultPlan batters its detection route with 5xx bursts,
+  // mid-stream resets and latency spikes while a degrading client falls back
+  // to its local copy of the detector instead of surfacing errors to the
+  // caller.
+  std::printf("\n!! %s starts failing by a deterministic fault plan\n",
+              owners.back().c_str());
+  std::size_t survivor = fleet.index_of(owners.back());
+  const std::shared_ptr<net::FaultPlan>& plan = fleet.faults(survivor);
   plan->add({.path_prefix = "/ei_algorithms",
              .kind = net::FaultKind::kErrorBurst,
              .probability = 0.35})
@@ -121,9 +126,9 @@ int main() {
             .kind = net::FaultKind::kInjectDelay,
             .probability = 0.2,
             .delay_s = 0.01});
-  net::HttpServer::Options faulty;
-  faulty.faults = plan;
-  std::uint16_t flaky_port = backup.start_server(0, faulty);
+  std::size_t requests_before = plan->request_count();
+  std::size_t faults_before = plan->injected_count();
+  std::uint16_t flaky_port = fleet.port(survivor);
 
   net::ResilientClient::Options copts;
   copts.deadline_s = 0.5;
@@ -159,13 +164,13 @@ int main() {
     }
   }
   std::printf("30 frames under faults (%zu/%zu upstream requests faulted):\n",
-              plan->injected_count(), plan->request_count());
+              plan->injected_count() - faults_before,
+              plan->request_count() - requests_before);
   std::printf("  served by cloud: %zu, degraded to local: %zu, failed: %zu\n",
               cloud_ok, degraded, failed);
   std::printf("  cloud breaker now: %s\n",
               net::to_string(degrading.cloud_circuit_state()));
 
-  backup.stop_server();
   std::printf("\n=== resilient pipeline example complete ===\n");
   return 0;
 }

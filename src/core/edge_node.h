@@ -83,7 +83,7 @@ class EdgeNode {
 
   /// The node's shared outbound-transport resilience counters (also exposed
   /// by GET /ei_status under "resilience").  Wire this into any
-  /// ResilientClient / FailoverClient acting on the node's behalf.
+  /// ResilientClient acting on the node's behalf.
   const std::shared_ptr<net::ResilienceMetrics>& resilience_metrics() const {
     return service_.resilience();
   }

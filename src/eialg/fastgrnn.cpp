@@ -24,8 +24,7 @@ FastGrnn::FastGrnn(FastGrnnOptions options) : options_(options) {
 
 namespace {
 
-Tensor slice_step(const Tensor& features, std::size_t step, std::size_t steps,
-                  std::size_t dims) {
+Tensor slice_step(const Tensor& features, std::size_t step, std::size_t dims) {
   std::size_t n = features.shape().dim(0);
   Tensor out(Shape{n, dims});
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,7 +44,7 @@ Tensor FastGrnn::run(const Tensor& features, std::vector<StepCache>* caches) con
   std::size_t h_dim = options_.hidden;
   Tensor h(Shape{n, h_dim});
   for (std::size_t t = 0; t < options_.steps; ++t) {
-    Tensor x = slice_step(features, t, options_.steps, options_.input_dims);
+    Tensor x = slice_step(features, t, options_.input_dims);
     Tensor pre = tensor::matmul(x, w_) + tensor::matmul(h, u_);  // shared W, U
     Tensor z(Shape{n, h_dim});
     Tensor c(Shape{n, h_dim});
@@ -218,7 +217,7 @@ FastGrnn::EarlyResult FastGrnn::predict_early(const Tensor& features,
     // One recurrence step for every still-active sequence (the batch keeps
     // full width; finished rows are simply ignored — the accounting below
     // charges only active rows).
-    Tensor x = slice_step(features, t, options_.steps, options_.input_dims);
+    Tensor x = slice_step(features, t, options_.input_dims);
     Tensor pre = tensor::matmul(x, w_) + tensor::matmul(h, u_);
     for (std::size_t i = 0; i < n * h_dim; ++i) {
       std::size_t col = i % h_dim;

@@ -355,7 +355,6 @@ HttpResponse Router::route(const HttpRequest& request) {
           .increment();
       if (hop > 0) {
         meter_.counter("ei_fleet_failovers_total").increment();
-        if (resilience_) ++resilience_->failovers;
       }
       return finish(std::move(response), hop > 0 ? "failover" : "ok");
     } catch (const IoError& e) {

@@ -81,7 +81,7 @@ struct RouterOptions {
       /*seed=*/42,
       /*metrics=*/nullptr};
   /// Consecutive forward failures that mark a node down (1 = a single
-  /// exhausted retry budget is enough — the FailoverClient convention).
+  /// exhausted retry budget is enough).
   std::size_t node_failure_threshold = 1;
   /// While any node is down, probe the down set every this many routed
   /// requests (count-based, so tests are deterministic).  probe_down_nodes()

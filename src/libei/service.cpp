@@ -129,17 +129,7 @@ void EiService::set_serving_stats_source(
 }
 
 EiService::Metrics EiService::metrics() const {
-  return Metrics{data_requests_.load(),
-                 algorithm_requests_.load(),
-                 model_requests_.load(),
-                 stream_requests_.load(),
-                 errors_.load(),
-                 resilience_->retries.load(),
-                 resilience_->timeouts.load(),
-                 resilience_->breaker_opens.load(),
-                 resilience_->breaker_rejections.load(),
-                 resilience_->degraded_serves.load(),
-                 batcher_metrics_->flushes.load(),
+  return Metrics{batcher_metrics_->flushes.load(),
                  batcher_metrics_->fused_requests.load(),
                  batcher_metrics_->max_fused_rows.load()};
 }
@@ -173,16 +163,35 @@ std::shared_ptr<const selector::CapabilityDatabase> EiService::capabilities_for(
 }
 
 HttpResponse EiService::handle(const HttpRequest& request) {
-  // Count before dispatch; failures additionally bump the error counter.
-  struct ErrorCounter {
-    std::atomic<std::uint64_t>& errors;
-    bool armed = true;
-    ~ErrorCounter() {
-      if (armed) ++errors;
-    }
-  } error_guard{errors_};
-
   auto segments = common::split_nonempty(request.path, '/');
+  // The route label comes from the fixed route set, never from the wire, so
+  // hostile paths cannot mint new series.
+  static constexpr const char* kRoutes[] = {
+      "ei_data",   "ei_algorithms", "ei_models", "ei_stream",
+      "ei_status", "ei_metrics",    "ei_trace"};
+  const char* route = "other";
+  for (const char* known : kRoutes) {
+    if (!segments.empty() && segments[0] == known) route = known;
+  }
+  // Every request is counted exactly once; a thrown one is an error.
+  auto count = [this, route](bool ok) {
+    meter_
+        .counter("ei_requests_total",
+                 {{"route", route}, {"status", ok ? "ok" : "error"}})
+        .increment();
+  };
+  try {
+    HttpResponse response = dispatch(request, segments);
+    count(response.status < 400);
+    return response;
+  } catch (...) {
+    count(false);
+    throw;
+  }
+}
+
+HttpResponse EiService::dispatch(const HttpRequest& request,
+                                 const std::vector<std::string>& segments) {
   if (segments.empty()) {
     throw NotFound("no resource at '" + request.path + "'");
   }
@@ -196,33 +205,23 @@ HttpResponse EiService::handle(const HttpRequest& request) {
     root.set_attribute("path", request.path);
   }
 
-  auto serve = [this, &error_guard, &root, &route](HttpResponse response) {
-    if (response.status < 400) error_guard.armed = false;
+  auto serve = [&root](HttpResponse response) {
     if (root.active()) {
       root.set_attribute("status", static_cast<double>(response.status));
     }
-    meter_
-        .counter("ei_requests_total",
-                 {{"route", route},
-                  {"status", response.status < 400 ? "ok" : "error"}})
-        .increment();
     return response;
   };
 
   if (route == "ei_data") {
-    ++data_requests_;
     return serve(handle_data(request, segments));
   }
   if (route == "ei_algorithms") {
-    ++algorithm_requests_;
     return serve(handle_algorithm(request, segments, root));
   }
   if (route == "ei_models") {
-    ++model_requests_;
     return serve(handle_models(request, segments));
   }
   if (route == "ei_stream") {
-    ++stream_requests_;
     return serve(handle_stream(request, segments));
   }
   if (route == "ei_status" && segments.size() == 1 && request.method == "GET") {
@@ -280,13 +279,23 @@ HttpResponse EiService::handle_status() {
   JsonArray sensor_ids;
   for (const std::string& id : store_.sensors()) sensor_ids.emplace_back(id);
   out.set("sensors", Json(std::move(sensor_ids)));
-  Metrics snapshot = metrics();
+  // Request counters are views over ei_requests_total, so /ei_status and
+  // /ei_metrics cannot disagree.
+  std::map<std::string, double> by_route;
+  double errors = 0.0;
+  for (const auto& [labels, value] :
+       meter_.counter_snapshots("ei_requests_total")) {
+    for (const auto& [key, label] : labels) {
+      if (key == "route") by_route[label] += value;
+      if (key == "status" && label == "error") errors += value;
+    }
+  }
   Json counters{JsonObject{}};
-  counters.set("data_requests", snapshot.data_requests);
-  counters.set("algorithm_requests", snapshot.algorithm_requests);
-  counters.set("model_requests", snapshot.model_requests);
-  counters.set("stream_requests", snapshot.stream_requests);
-  counters.set("errors", snapshot.errors);
+  counters.set("data_requests", by_route["ei_data"]);
+  counters.set("algorithm_requests", by_route["ei_algorithms"]);
+  counters.set("model_requests", by_route["ei_models"]);
+  counters.set("stream_requests", by_route["ei_stream"]);
+  counters.set("errors", errors);
   out.set("requests", std::move(counters));
   out.set("resilience", resilience_->to_json());
   // Serving counters from the HTTP server fronting this service (absent
@@ -311,6 +320,7 @@ HttpResponse EiService::handle_status() {
     serving.set("peak_connections", stats.peak_connections);
     out.set("serving", std::move(serving));
   }
+  Metrics snapshot = metrics();
   Json batching{JsonObject{}};
   batching.set("coalescing", options_.coalesce_inference);
   batching.set("max_batch_rows", options_.batching.max_batch_rows);

@@ -52,7 +52,6 @@
 // {"error":"memory_pressure",...} body.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -124,24 +123,11 @@ class EiService {
 
   const hwsim::DeviceProfile& device() const { return device_; }
 
-  /// Served-request counters (reported by /ei_status for fleet monitoring).
-  /// The resilience fields snapshot the node's shared transport counters:
-  /// retries/timeouts/breaker state of every outbound client wired to
-  /// `resilience()` (peer fetches, failover, degrading cloud-edge serving).
-  /// All backing counters are atomics (the HTTP server handles requests on
-  /// concurrent connection threads and the micro-batcher flushes on its
-  /// own); this struct is a consistent-enough snapshot for monitoring.
+  /// Micro-batching counters (reported under "batching" by /ei_status).
+  /// Request counts live in the `ei_requests_total` family of meter().
+  /// The backing counters are atomics the batcher flush threads update;
+  /// this struct is a consistent-enough snapshot for monitoring.
   struct Metrics {
-    std::uint64_t data_requests = 0;
-    std::uint64_t algorithm_requests = 0;
-    std::uint64_t model_requests = 0;
-    std::uint64_t stream_requests = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t breaker_opens = 0;
-    std::uint64_t breaker_rejections = 0;
-    std::uint64_t degraded_serves = 0;
     std::uint64_t batch_flushes = 0;
     std::uint64_t coalesced_requests = 0;
     std::uint64_t max_fused_rows = 0;
@@ -179,6 +165,9 @@ class EiService {
   runtime::EnergyGovernor& energy_governor() { return *governor_; }
 
  private:
+  /// Routes one request to its handler; handle() counts it.
+  net::HttpResponse dispatch(const net::HttpRequest& request,
+                             const std::vector<std::string>& segments);
   net::HttpResponse handle_data(const net::HttpRequest& request,
                                 const std::vector<std::string>& segments);
   net::HttpResponse handle_algorithm(const net::HttpRequest& request,
@@ -215,11 +204,6 @@ class EiService {
   std::shared_ptr<runtime::BatcherMetrics> batcher_metrics_ =
       std::make_shared<runtime::BatcherMetrics>();
 
-  mutable std::atomic<std::uint64_t> data_requests_{0};
-  mutable std::atomic<std::uint64_t> algorithm_requests_{0};
-  mutable std::atomic<std::uint64_t> model_requests_{0};
-  mutable std::atomic<std::uint64_t> stream_requests_{0};
-  mutable std::atomic<std::uint64_t> errors_{0};
   std::shared_ptr<net::ResilienceMetrics> resilience_ =
       std::make_shared<net::ResilienceMetrics>();
   obs::Tracer tracer_;

@@ -53,8 +53,6 @@ common::Json ResilienceMetrics::to_json() const {
   out.set("server_errors", server_errors.load());
   out.set("breaker_opens", breaker_opens.load());
   out.set("breaker_rejections", breaker_rejections.load());
-  out.set("failovers", failovers.load());
-  out.set("failbacks", failbacks.load());
   out.set("degraded_serves", degraded_serves.load());
   out.set("open_breakers", open_breakers.load());
   common::JsonArray breakers;

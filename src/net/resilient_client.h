@@ -60,9 +60,9 @@ struct BreakerSnapshot {
   double last_transition_unix_s = 0.0;
 };
 
-/// Shared resilience counters.  Several clients (and a FailoverClient, and a
-/// degrading cloud-edge path) can feed one sink, which libei's /ei_status
-/// reports so the fleet can observe how the node's transport is coping.
+/// Shared resilience counters.  Several clients (and a degrading cloud-edge
+/// path) can feed one sink, which libei's /ei_status reports so the fleet
+/// can observe how the node's transport is coping.
 struct ResilienceMetrics {
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> successes{0};
@@ -72,8 +72,6 @@ struct ResilienceMetrics {
   std::atomic<std::uint64_t> server_errors{0};
   std::atomic<std::uint64_t> breaker_opens{0};
   std::atomic<std::uint64_t> breaker_rejections{0};
-  std::atomic<std::uint64_t> failovers{0};
-  std::atomic<std::uint64_t> failbacks{0};
   std::atomic<std::uint64_t> degraded_serves{0};
   /// Gauge: breakers currently open (or half-open) across attached clients.
   std::atomic<std::int64_t> open_breakers{0};
@@ -130,8 +128,8 @@ class ResilientClient {
 
   /// Single no-retry attempt that bypasses an open breaker (a half-open
   /// trial).  Returns true when the endpoint answered with a non-5xx status;
-  /// updates the breaker either way.  Used by failover clients to
-  /// health-probe a recovered replica without waiting out the open window.
+  /// updates the breaker either way.  Used by the fleet router to
+  /// health-probe a recovered node without waiting out the open window.
   bool probe(const std::string& target);
 
   CircuitState circuit_state() const;

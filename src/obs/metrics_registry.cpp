@@ -102,6 +102,18 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *series.histogram;
 }
 
+std::vector<std::pair<LabelSet, double>> MetricsRegistry::counter_snapshots(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<LabelSet, double>> out;
+  auto it = families_.find(name);
+  if (it == families_.end() || it->second.kind != Kind::kCounter) return out;
+  for (const auto& [key, series] : it->second.series) {
+    if (series.counter) out.emplace_back(series.labels, series.counter->value());
+  }
+  return out;
+}
+
 std::vector<std::pair<LabelSet, Histogram::Snapshot>>
 MetricsRegistry::histogram_snapshots(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);

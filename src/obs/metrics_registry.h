@@ -65,6 +65,10 @@ class MetricsRegistry {
                        double min_bound = 1e-6, double growth = 2.0,
                        std::size_t bucket_count = 25);
 
+  /// Every counter series of `name` with its labels and value (for
+  /// /ei_status's request counters).
+  std::vector<std::pair<LabelSet, double>> counter_snapshots(
+      const std::string& name) const;
   /// Every histogram series of `name` with its labels (for /ei_status's
   /// per-model percentile block).
   std::vector<std::pair<LabelSet, Histogram::Snapshot>> histogram_snapshots(

@@ -4,9 +4,7 @@
 //   argmin_{m in Models} L   s.t.  A >= A_req, E <= E_pro, M <= M_pro
 //
 // generalized so any ALEM attribute can be the objective while the other
-// three act as constraints.  Selection scans the capability database; the
-// deep-RL direction the paper sketches is implemented separately in
-// rl_selector.h and validated against this exact solver.
+// three act as constraints.  Selection scans the capability database.
 #pragma once
 
 #include <optional>

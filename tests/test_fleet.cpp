@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -426,6 +427,222 @@ TEST(FleetTest, FaultInjectedOutageFailsOverWithZeroFailedRequests) {
   EXPECT_EQ(fleet.router().up_nodes().size(), 3U);
   EXPECT_GE(
       fleet.router().meter().counter("ei_fleet_failovers_total").value(), 1.0);
+}
+
+TEST(FleetTest, EveryOwnerDownAnswers503FleetUnavailable) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 1), 0.9);
+  fleet.kill(0);
+  fleet.kill(1);
+
+  // Both owners are tried in failover order and both are unreachable.
+  const std::string target =
+      std::string("/ei_algorithms/safety/detection") + kInput;
+  net::HttpResponse response = fleet.router().route("GET", target);
+  EXPECT_EQ(response.status, 503);
+  Json doc = Json::parse(response.body);
+  EXPECT_EQ(doc.at("error").as_string(), "fleet_unavailable");
+  EXPECT_EQ(doc.at("owners_tried").as_int(), 2);
+  EXPECT_EQ(fleet.router()
+                .meter()
+                .counter("ei_fleet_requests_total", {{"outcome", "failed"}})
+                .value(),
+            1.0);
+  EXPECT_GE(fleet.router()
+                .fleet_status()
+                .at("resilience")
+                .at("transport_errors")
+                .as_number(),
+            2.0);
+
+  // With the ring empty, later requests answer the same error without a
+  // forward.
+  EXPECT_TRUE(fleet.router().up_nodes().empty());
+  net::HttpResponse empty_ring = fleet.router().route("GET", target);
+  EXPECT_EQ(empty_ring.status, 503);
+  EXPECT_EQ(Json::parse(empty_ring.body).at("error").as_string(),
+            "fleet_unavailable");
+}
+
+TEST(FleetTest, NodeClientErrorPassesThroughWithoutFailover) {
+  Fleet fleet(small_fleet(2, 2));
+  fleet.deploy("safety", "detection", make_constant_model("det", 1), 0.9);
+  const std::string primary =
+      fleet.router().owners_of("safety/detection").front();
+
+  // No input: the node answers 400, which a replica would repeat.
+  net::HttpResponse response =
+      fleet.router().route("GET", "/ei_algorithms/safety/detection");
+  EXPECT_EQ(response.status, 400);
+  EXPECT_EQ(
+      fleet.router().meter().counter("ei_fleet_failovers_total").value(), 0.0);
+  EXPECT_EQ(fleet.router()
+                .meter()
+                .counter("ei_fleet_forwards_total",
+                         {{"node", primary}, {"outcome", "ok"}})
+                .value(),
+            1.0);
+  Json doc = fleet.router().fleet_status();
+  EXPECT_EQ(doc.at("up_nodes").as_int(), 2);
+  for (const Json& node : doc.at("nodes").as_array()) {
+    EXPECT_EQ(node.at("consecutive_failures").as_int(), 0);
+    EXPECT_EQ(node.at("breaker").at("state").as_string(), "closed");
+    EXPECT_EQ(node.at("breaker").at("consecutive_failures").as_int(), 0);
+  }
+}
+
+TEST(RouterTest, NeedsAtLeastOneNode) {
+  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), openei::InvalidArgument);
+}
+
+// --- Replica-pair contract --------------------------------------------------
+// Two nodes at replication 2 own every key: the primary/backup pair of the
+// Sec. IV-C availability story.  A seeded (non-constant) model makes "same
+// predictions across a failover" mean "same weights served".
+
+const std::string kPairTarget =
+    std::string("/ei_algorithms/safety/detection") + kInput;
+
+std::unique_ptr<Fleet> make_replica_pair(std::size_t probe_every = 8) {
+  FleetOptions options = small_fleet(2, 2);
+  options.router.probe_every = probe_every;
+  auto fleet = std::make_unique<Fleet>(options);
+  Rng model_rng(1234);
+  fleet->deploy("safety", "detection",
+                nn::zoo::make_mlp("det", kFeatures, kClasses, {8}, model_rng),
+                0.9);
+  return fleet;
+}
+
+double forwards(Router& router, const std::string& node_id,
+                const std::string& outcome) {
+  return router.meter()
+      .counter("ei_fleet_forwards_total",
+               {{"node", node_id}, {"outcome", outcome}})
+      .value();
+}
+
+double failovers(Router& router) {
+  return router.meter().counter("ei_fleet_failovers_total").value();
+}
+
+TEST(FailoverTest, SurvivesPrimaryDeath) {
+  auto fleet = make_replica_pair();
+  Router& router = fleet->router();
+  const std::string primary = router.owners_of("safety/detection").front();
+
+  net::HttpResponse first = router.route("GET", kPairTarget);
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(forwards(router, primary, "ok"), 1.0);
+  EXPECT_EQ(failovers(router), 0.0);
+
+  // Primary dies; the same call keeps working via the backup.
+  fleet->kill(fleet->index_of(primary));
+  net::HttpResponse after = router.route("GET", kPairTarget);
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(failovers(router), 1.0);
+  EXPECT_FALSE(router.node_up(primary));
+
+  // Identical weights -> identical answer across the failover.
+  EXPECT_EQ(Json::parse(first.body).at("predictions"),
+            Json::parse(after.body).at("predictions"));
+}
+
+TEST(FailoverTest, ApplicationErrorsDoNotTriggerFailover) {
+  auto fleet = make_replica_pair();
+  Router& router = fleet->router();
+  const std::string primary = router.owners_of("safety/detection").front();
+
+  // Wrong input width: the primary's 400 is the answer, with no replica hop.
+  EXPECT_EQ(router.route("GET", "/ei_algorithms/safety/detection?input=[1,2]")
+                .status,
+            400);
+  EXPECT_EQ(forwards(router, primary, "ok"), 1.0);
+  EXPECT_EQ(failovers(router), 0.0);
+
+  // Unknown algorithm: each healthy owner answers 404 and the 404 is the
+  // answer, not a 503; neither node takes a health strike.
+  net::HttpResponse missing =
+      router.route("GET", "/ei_algorithms/ghost/none?input=[1]");
+  EXPECT_EQ(missing.status, 404);
+  for (const std::string& id : router.owners_of("ghost/none")) {
+    EXPECT_EQ(forwards(router, id, "error"), 0.0) << id;
+  }
+  EXPECT_EQ(router.meter().counter("ei_fleet_node_down_total").value(), 0.0);
+  EXPECT_EQ(router.up_nodes().size(), 2U);
+  Json status = router.fleet_status();
+  for (const Json& node : status.at("nodes").as_array()) {
+    EXPECT_EQ(node.at("consecutive_failures").as_int(), 0);
+  }
+}
+
+// Primary down for a window -> the backup serves; primary recovers -> routed
+// traffic alone fails it back within two probe intervals and it serves
+// again; every request succeeds and /ei_fleet shows the transport story.
+TEST(FailbackTest, ReturnsToPreferredReplicaAfterRecovery) {
+  constexpr std::size_t kProbeEvery = 2;
+  auto fleet = make_replica_pair(kProbeEvery);
+  Router& router = fleet->router();
+  const std::vector<std::string> owners = router.owners_of("safety/detection");
+  ASSERT_EQ(owners.size(), 2U);
+  const std::string& primary = owners[0];
+  std::size_t victim = fleet->index_of(primary);
+
+  net::HttpResponse first = router.route("GET", kPairTarget);
+  ASSERT_EQ(first.status, 200);
+
+  fleet->kill(victim);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(router.route("GET", kPairTarget).status, 200) << "request " << i;
+  }
+  EXPECT_FALSE(router.node_up(primary));
+  EXPECT_EQ(failovers(router), 1.0);
+  EXPECT_EQ(router.meter().counter("ei_fleet_failbacks_total").value(), 0.0);
+
+  // Primary recovers on the same port; no explicit probe call.
+  fleet->revive(victim);
+  std::size_t requests_until_failback = 0;
+  while (!router.node_up(primary)) {
+    ASSERT_LT(requests_until_failback, 2 * kProbeEvery)
+        << "failback did not happen within two probe intervals";
+    ASSERT_EQ(router.route("GET", kPairTarget).status, 200);
+    ++requests_until_failback;
+  }
+  EXPECT_EQ(router.meter().counter("ei_fleet_failbacks_total").value(), 1.0);
+
+  // The preferred replica is first in the owner order again and serves.
+  EXPECT_EQ(router.owners_of("safety/detection"), owners);
+  double primary_ok = forwards(router, primary, "ok");
+  net::HttpResponse last = router.route("GET", kPairTarget);
+  ASSERT_EQ(last.status, 200);
+  EXPECT_EQ(forwards(router, primary, "ok"), primary_ok + 1.0);
+  EXPECT_EQ(Json::parse(first.body).at("predictions"),
+            Json::parse(last.body).at("predictions"));
+
+  Json resilience = router.fleet_status().at("resilience");
+  EXPECT_GE(resilience.at("transport_errors").as_number(), 1.0);
+  EXPECT_GE(resilience.at("attempts").as_number(), 8.0);
+}
+
+// The pair's contract as a plain HTTP caller of the front door sees it: a
+// node's client error passes through, a pair with both nodes dead answers
+// 503, and a router needs at least one node.
+TEST(FailbackTest, KeepsLegacyFailoverSemantics) {
+  auto fleet = make_replica_pair();
+  net::HttpClient client(fleet->router().start_server());
+
+  EXPECT_EQ(client.get("/ei_algorithms/safety/detection").status, 400);
+  EXPECT_EQ(failovers(fleet->router()), 0.0);
+
+  fleet->kill(0);
+  fleet->kill(1);
+  net::HttpResponse down = client.get(kPairTarget);
+  EXPECT_EQ(down.status, 503);
+  EXPECT_EQ(Json::parse(down.body).at("error").as_string(),
+            "fleet_unavailable");
+  fleet->router().stop_server();
+
+  EXPECT_THROW(Router(std::vector<NodeEndpoint>{}), openei::InvalidArgument);
 }
 
 // --- Observability surfaces ------------------------------------------------

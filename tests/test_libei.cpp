@@ -1,7 +1,15 @@
 // Integration tests for libei + EdgeNode: the Fig. 6 REST resource scheme
 // end-to-end — in-process and over real loopback HTTP — including the full
-// Sec. III-E walkthrough (camera data API -> detection algorithm API).
+// Sec. III-E walkthrough (camera data API -> detection algorithm API), the
+// request counters of /ei_status and /ei_metrics, and the inference-session
+// cache behind the algorithm route.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <sstream>
+#include <string>
+#include <thread>
 
 #include "common/rng.h"
 #include "core/edge_node.h"
@@ -244,5 +252,142 @@ TEST(EdgeNodeTest, ServerLifecycleGuards) {
   node.stop_server();  // idempotent
 }
 
+TEST(StatusRouteTest, RequestCountersEqualTheirMetricsSamples) {
+  Rng rng(82);
+  core::EdgeNode node(core::EdgeNodeConfig{hwsim::raspberry_pi_4(),
+                                           hwsim::openei_package(), 32});
+  node.deploy_model("home", "monitor", nn::zoo::make_mlp("m", 4, 2, {4}, rng),
+                    0.9);
+  node.ingest("s1", 1.0, common::Json(1.0));
+
+  // Handled and thrown successes and failures on every counted route, plus
+  // hostile paths whose first segment must never become a label.
+  node.call("GET", "/ei_data/realtime/s1?timestamp=0");
+  node.call("GET", "/ei_data/realtime/ghost?timestamp=0");
+  node.call("GET", "/ei_algorithms/home/monitor?input=[1,2,3,4]");
+  node.call("GET", "/ei_algorithms/home/monitor?input=[1]");
+  node.call("GET", "/ei_algorithms/home/monitor?input=[[1,2");
+  node.call("GET", "/ei_algorithms/ghost/none?input=[1]");
+  node.call("GET", "/ei_models");
+  node.call("GET", "/ei_models/ghost");
+  node.call("PUT", "/ei_models");  // answered 405, not thrown
+  node.call("DELETE", "/ei_stream/ghost");
+  node.call("GET", "/ei_status/extra");
+  node.call("GET", "/hostile_segment_1");
+  node.call("GET", "/hostile_segment_2/x");
+  node.call("GET", "/");
+
+  common::Json requests =
+      common::Json::parse(node.call("GET", "/ei_status").body).at("requests");
+  std::string metrics = node.call("GET", "/ei_metrics").body;
+
+  // Sum the ei_requests_total samples of /ei_metrics by route and status.
+  std::map<std::string, double> by_route;
+  double errors = 0.0;
+  double total = 0.0;
+  std::istringstream lines(metrics);
+  std::string line;
+  const std::string family = "ei_requests_total{";
+  while (std::getline(lines, line)) {
+    if (line.rfind(family, 0) != 0) continue;
+    auto label = [&line](const std::string& key) {
+      std::size_t at = line.find(key + "=\"") + key.size() + 2;
+      return line.substr(at, line.find('"', at) - at);
+    };
+    double value = std::stod(line.substr(line.rfind(' ') + 1));
+    by_route[label("route")] += value;
+    if (label("status") == "error") errors += value;
+    total += value;
+  }
+  EXPECT_EQ(requests.at("data_requests").as_number(), by_route["ei_data"]);
+  EXPECT_EQ(requests.at("algorithm_requests").as_number(),
+            by_route["ei_algorithms"]);
+  EXPECT_EQ(requests.at("model_requests").as_number(), by_route["ei_models"]);
+  EXPECT_EQ(requests.at("stream_requests").as_number(),
+            by_route["ei_stream"]);
+  EXPECT_EQ(requests.at("errors").as_number(), errors);
+
+  // Every request above is counted exactly once — the /ei_status read too,
+  // since it finished before /ei_metrics rendered.
+  EXPECT_EQ(total, 15.0);
+  EXPECT_EQ(by_route["other"], 3.0);
+  EXPECT_EQ(metrics.find("hostile_segment"), std::string::npos);
+  EXPECT_EQ(requests.at("data_requests").as_int(), 2);
+  EXPECT_EQ(requests.at("algorithm_requests").as_int(), 4);
+  EXPECT_EQ(requests.at("model_requests").as_int(), 3);
+  EXPECT_EQ(requests.at("errors").as_int(), 11);
+}
+
 }  // namespace
 }  // namespace openei::libei
+
+namespace openei::core {
+namespace {
+
+using common::Rng;
+
+TEST(SessionCacheTest, RepeatCallsReuseCacheAndRedeployInvalidates) {
+  Rng rng(4);
+  EdgeNode node(EdgeNodeConfig{hwsim::raspberry_pi_4(),
+                               hwsim::openei_package(), 32});
+  Rng m1(5);
+  node.deploy_model("home", "monitor", nn::zoo::make_mlp("m", 4, 2, {8}, m1),
+                    0.9);
+
+  std::string target = "/ei_algorithms/home/monitor?input=[1,2,3,4]";
+  auto first = node.call("GET", target);
+  ASSERT_EQ(first.status, 200);
+  auto again = node.call("GET", target);
+  EXPECT_EQ(again.body, first.body);
+
+  // Redeploy under the same name with different weights; the cache must not
+  // serve the stale session.
+  Rng m2(6);
+  node.deploy_model("home", "monitor", nn::zoo::make_mlp("m", 4, 2, {8}, m2),
+                    0.9);
+  auto fresh = node.call("GET", target);
+  ASSERT_EQ(fresh.status, 200);
+  // ALEM/latency metadata identical but predictions may change; at minimum
+  // the call still works and reflects the *new* registry version.
+  common::Json doc = common::Json::parse(fresh.body);
+  EXPECT_EQ(doc.at("model").as_string(), "m");
+}
+
+TEST(SessionCacheTest, ConcurrentAlgorithmCallsShareOneSessionSafely) {
+  // Hammer one node's algorithm route from several clients at once: the
+  // shared cached session must produce identical, correct results with no
+  // crashes (inference-mode forward is read-only).
+  Rng rng(7);
+  EdgeNode node(EdgeNodeConfig{hwsim::jetson_tx2(),
+                               hwsim::openei_package(), 32});
+  node.deploy_model("safety", "detection",
+                    nn::zoo::make_mlp("det", 6, 3, {16}, rng), 0.9);
+  auto port = node.start_server(0);
+
+  std::string target = "/ei_algorithms/safety/detection?input=[1,2,3,4,5,6]";
+  std::string expected = node.call("GET", target).body;
+
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 6; ++c) {
+    clients.emplace_back([&, port] {
+      net::HttpClient client(port);
+      for (int i = 0; i < 25; ++i) {
+        auto response = client.get(target);
+        if (response.status != 200) {
+          ++failures;
+        } else if (response.body != expected) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  node.stop_server();
+}
+
+}  // namespace
+}  // namespace openei::core

@@ -29,7 +29,6 @@
 #include "runtime/session_cache.h"
 #include "runtime/realtime.h"
 #include "selector/capability_db.h"
-#include "selector/rl_selector.h"
 #include "selector/selecting_algorithm.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"

@@ -1,6 +1,6 @@
 // Tests for the model selector: ALEM constraint semantics, the exact Eq. 1
-// solver (validated against brute force), objective swapping, infeasibility,
-// and the Q-learning extension's convergence to the exact optimum.
+// solver (validated against brute force), objective swapping and
+// infeasibility.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -11,7 +11,6 @@
 #include "nn/zoo.h"
 #include "selector/alem.h"
 #include "selector/capability_db.h"
-#include "selector/rl_selector.h"
 #include "selector/selecting_algorithm.h"
 
 namespace openei::selector {
@@ -198,43 +197,6 @@ TEST_F(SelectorFixture, RankIsSortedAndFeasible) {
   for (const auto& entry : ranked) {
     EXPECT_GE(entry.alem.accuracy, 0.5);
   }
-}
-
-TEST_F(SelectorFixture, QLearningConvergesToExactOptimum) {
-  for (Objective objective : {Objective::kMinLatency, Objective::kMaxAccuracy}) {
-    SelectionRequest request;
-    request.objective = objective;
-    request.device_name = "raspberry-pi-4";
-    request.requirements.min_accuracy = 0.6;
-
-    QLearningOptions options;
-    options.episodes = 4000;
-    QLearningSelector rl(*db_, options);
-    rl.train(request);
-    auto rl_pick = rl.select(request);
-    auto exact = select(*db_, request);
-
-    ASSERT_TRUE(rl_pick.has_value());
-    ASSERT_TRUE(exact.has_value());
-    EXPECT_EQ(rl_pick->model_name, exact->model_name)
-        << "objective " << static_cast<int>(objective);
-    EXPECT_EQ(rl_pick->package_name, exact->package_name);
-  }
-}
-
-TEST_F(SelectorFixture, QLearningReportsInfeasibilityAsNullopt) {
-  SelectionRequest request;
-  request.device_name = "raspberry-pi-4";
-  request.requirements.min_accuracy = 1.01;
-  QLearningSelector rl(*db_, QLearningOptions{.episodes = 200});
-  rl.train(request);
-  EXPECT_FALSE(rl.select(request).has_value());
-}
-
-TEST_F(SelectorFixture, QLearningSelectBeforeTrainThrows) {
-  QLearningSelector rl(*db_, QLearningOptions{});
-  SelectionRequest request;
-  EXPECT_THROW(rl.select(request), openei::InvalidArgument);
 }
 
 TEST_F(SelectorFixture, DatabaseJsonSerializes) {
