@@ -1,20 +1,22 @@
-// HTTP serving bench: event-loop engine vs the legacy thread-per-connection
-// baseline under thousands of concurrent keep-alive connections.
+// HTTP serving bench: the event-loop server under thousands of concurrent
+// connections, with and without keep-alive.
 //
 // The load generator is itself a non-blocking event loop (net::Poller): one
 // driver thread multiplexes all of its client connections, so the harness
 // can hold 1k+ sockets open without 1k client threads.  Three phases run
-// against a fully wired EdgeNode (deployed model, ingested sensor data):
+// against one event-loop server fronting a fully wired EdgeNode (deployed
+// model, ingested sensor data):
 //
-//   thread_per_conn   legacy engine; one request per connection, so every
-//                     request pays connect+teardown (its real-world cost)
+//   event_loop_close  Connection: close on every request, so each request
+//                     pays connect+teardown (what every HttpClient hop pays)
 //   event_loop        keep-alive reuse, one request in flight per conn
 //   event_loop_pipe   keep-alive + pipelining (depth 8 per connection)
 //
 // Per phase: req/s and p50/p99/p999 latency, plus the server's own
 // ServerStats (keep-alive reuses, peak connections) as cross-evidence.
-// Writes BENCH_serving.json for CI to archive; --min-keepalive-rps turns
-// the keep-alive phase's req/s into a regression gate (exit 1 below it).
+// Writes BENCH_serving.json for CI to archive.  Two gates exit 1: full runs
+// on hosts with at least 4 CPUs must clear the absolute keep-alive floor
+// kKeepAliveFloorRps, and --min-keepalive-rps adds a floor for any run.
 //
 // Usage: bench_serving [--quick] [--out PATH] [--connections N]
 //                      [--duration-s S] [--min-keepalive-rps R] [--rate R]
@@ -52,6 +54,12 @@ namespace {
 
 using common::Json;
 using common::JsonObject;
+
+/// Absolute keep-alive req/s floor for full runs on >= 4 CPUs.  It replaced
+/// a ">= 5x the thread-per-connection engine" gate and is stricter than it:
+/// on a 4-vCPU AVX-512 Xeon that engine served at most 6.7k req/s over six
+/// runs (5x = 33k), while keep-alive serves 146k-227k req/s.
+constexpr double kKeepAliveFloorRps = 50000.0;
 
 struct Config {
   bool quick = false;
@@ -380,7 +388,6 @@ Json result_to_json(const LoadResult& result) {
 
 Json stats_to_json(const net::ServerStats& stats) {
   return Json(JsonObject{
-      {"engine", Json(stats.engine)},
       {"connections_accepted", Json(stats.connections_accepted)},
       {"requests_served", Json(stats.requests_served)},
       {"keepalive_reuses", Json(stats.keepalive_reuses)},
@@ -397,7 +404,7 @@ void print_row(const char* name, const LoadResult& result) {
 
 int run(const Config& config) {
   raise_fd_limit();
-  banner("OpenEI serving: event loop vs thread-per-connection");
+  banner("OpenEI serving: event loop, close-per-request vs keep-alive");
   std::size_t host_cpus = std::thread::hardware_concurrency();
   std::size_t connections = config.quick
                                 ? std::min<std::size_t>(config.connections, 64)
@@ -423,26 +430,7 @@ int run(const Config& config) {
   std::printf("\n%18s %10s %9s %9s %9s %7s\n", "phase", "req/s", "p50", "p99",
               "p999", "errors");
 
-  // --- Phase 1: legacy thread-per-connection baseline -------------------
-  LoadResult baseline;
-  {
-    core::EdgeNode node(make_node_config());
-    seed_node(node);
-    net::HttpServer::Options options;
-    options.thread_per_connection = true;
-    std::uint16_t port = node.start_server(0, options);
-    LoadOptions load;
-    load.connections = connections;
-    load.pipeline = 1;
-    load.keep_alive = false;  // the legacy engine closes after one response
-    load.duration_s = duration_s;
-    load.driver_threads = drivers;
-    baseline = LoadDriver(port, wire_request(false), load).run();
-    print_row("thread_per_conn", baseline);
-    node.stop_server();
-  }
-
-  // --- Phases 2+3: event loop, keep-alive then pipelined ----------------
+  LoadResult close_per_request;
   LoadResult keepalive;
   LoadResult pipelined;
   Json server_stats;
@@ -452,14 +440,22 @@ int run(const Config& config) {
     std::uint16_t port = node.start_server(0, net::HttpServer::Options{});
     LoadOptions load;
     load.connections = connections;
-    load.pipeline = 1;
-    load.keep_alive = true;
     load.duration_s = duration_s;
-    load.open_loop_rate = config.open_loop_rate;
     load.driver_threads = drivers;
+
+    // Phase 1: Connection: close, reconnect after every response.
+    load.pipeline = 1;
+    load.keep_alive = false;
+    close_per_request = LoadDriver(port, wire_request(false), load).run();
+    print_row("event_loop_close", close_per_request);
+
+    // Phase 2: keep-alive, one request in flight per connection.
+    load.keep_alive = true;
+    load.open_loop_rate = config.open_loop_rate;
     keepalive = LoadDriver(port, wire_request(true), load).run();
     print_row("event_loop", keepalive);
 
+    // Phase 3: keep-alive + pipelining.
     load.pipeline = 8;
     load.open_loop_rate = 0.0;
     pipelined = LoadDriver(port, wire_request(true), load).run();
@@ -468,23 +464,28 @@ int run(const Config& config) {
     node.stop_server();
   }
 
-  double speedup = baseline.requests_per_sec > 0.0
-                       ? keepalive.requests_per_sec / baseline.requests_per_sec
-                       : 0.0;
-  // On a 1-core CI runner both engines serialize behind the same CPU, so
-  // the ≥5x claim is only asserted where parallelism exists.
-  bool speedup_valid = host_cpus >= 4 && !config.quick;
+  // On a 1-2 core CI runner the load driver and the server serialize behind
+  // the same CPUs, so the absolute floor only applies where parallelism
+  // exists.
+  bool floor_gated = host_cpus >= 4 && !config.quick;
+  double keepalive_over_close =
+      close_per_request.requests_per_sec > 0.0
+          ? keepalive.requests_per_sec / close_per_request.requests_per_sec
+          : 0.0;
   section("summary");
-  std::printf("keep-alive vs thread-per-conn: %.1fx req/s%s\n", speedup,
-              speedup_valid ? "" : "  (informational: quick run or <4 cores)");
+  std::printf("keep-alive vs close-per-request: %.1fx req/s\n",
+              keepalive_over_close);
+  std::printf("keep-alive floor: %.0f req/s%s\n", kKeepAliveFloorRps,
+              floor_gated ? "" : "  (informational: quick run or <4 cores)");
 
-  report.set("thread_per_connection", result_to_json(baseline));
+  report.set("event_loop_close", result_to_json(close_per_request));
   report.set("event_loop_keepalive", result_to_json(keepalive));
   report.set("event_loop_pipelined", result_to_json(pipelined));
   report.set("server_stats", std::move(server_stats));
-  report.set("keepalive_speedup", speedup);
+  report.set("keepalive_over_close", keepalive_over_close);
+  report.set("keepalive_floor_rps", kKeepAliveFloorRps);
   report.set("min_keepalive_rps", config.min_keepalive_rps);
-  set_host_info(report, speedup_valid);
+  set_host_info(report, floor_gated);
 
   std::ofstream out(config.out_path);
   if (!out) {
@@ -502,11 +503,11 @@ int run(const Config& config) {
                  keepalive.requests_per_sec, config.min_keepalive_rps);
     return 1;
   }
-  if (speedup_valid && speedup < 5.0) {
+  if (floor_gated && keepalive.requests_per_sec < kKeepAliveFloorRps) {
     std::fprintf(stderr,
-                 "FAIL: keep-alive speedup %.1fx below the 5x acceptance "
-                 "threshold (multi-core, full run)\n",
-                 speedup);
+                 "FAIL: keep-alive phase served %.0f req/s, below the "
+                 "absolute %.0f req/s floor (multi-core, full run)\n",
+                 keepalive.requests_per_sec, kKeepAliveFloorRps);
     return 1;
   }
   return 0;

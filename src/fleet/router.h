@@ -91,7 +91,7 @@ struct RouterOptions {
   std::string probe_target = "/ei_status";
   /// Router-level tracing (fleet.route/fleet.forward spans).
   obs::Tracer::Options tracing;
-  /// Serving options for the HTTP front door (engine choice, deadlines,
+  /// Serving options for the HTTP front door (loop threads, deadlines,
   /// connection caps, fault injection) — the router fronts the whole fleet,
   /// so this is where event-loop serving matters most.
   net::HttpServer::Options front_door;

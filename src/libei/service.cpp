@@ -308,7 +308,6 @@ HttpResponse EiService::handle_status() {
   if (serving_source) {
     net::ServerStats stats = serving_source();
     Json serving{JsonObject{}};
-    serving.set("engine", stats.engine);
     serving.set("connections_accepted", stats.connections_accepted);
     serving.set("connections_rejected", stats.connections_rejected);
     serving.set("requests_served", stats.requests_served);

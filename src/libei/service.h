@@ -141,7 +141,7 @@ class EiService {
   }
 
   /// Wires an HTTP server's serving counters into GET /ei_status (the
-  /// "serving" block: engine, keep-alive reuse, idle/deadline closes...).
+  /// "serving" block: accepts, keep-alive reuse, idle/deadline closes...).
   /// The owning node sets this when it starts a server and clears it
   /// (nullptr) before tearing the server down; safe against concurrent
   /// handle() calls.

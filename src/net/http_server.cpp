@@ -1,22 +1,16 @@
-// The HttpServer engines.
+// The HttpServer event loop.
 //
-// Event loop (default): a fixed pool of non-blocking loop threads, each
-// owning a Poller (epoll/poll) and a shard of the connections.  A blocking
-// accept thread round-robins new connections onto loops through a small
-// inbox + wake pipe.  Per connection the loop keeps an incremental
-// RequestParser (keep-alive + pipelining) and one output buffer that
-// responses serialize into directly; writes that hit EAGAIN re-arm the
-// poller for writability (backpressure) instead of blocking the loop.
+// A fixed pool of non-blocking loop threads, each owning a Poller
+// (epoll/poll) and a shard of the connections.  A blocking accept thread
+// round-robins new connections onto loops through a small inbox + wake
+// pipe.  Per connection the loop keeps an incremental RequestParser
+// (keep-alive + pipelining) and one output buffer that responses serialize
+// into directly; writes that hit EAGAIN re-arm the poller for writability
+// (backpressure) instead of blocking the loop.
 //
-// Thread-per-connection (legacy): the original blocking model — one
-// short-lived worker per connection, one request per connection — kept as
-// the measured baseline for bench_serving, now bounded by a worker cap so
-// an accept flood queues in the listen backlog instead of exhausting
-// memory.
-//
-// Both engines share the routing contract: FaultPlan consulted once per
-// parsed request, ParseError → 400, NotFound → 404, anything else → 500,
-// graceful drain on stop().
+// Routing contract: FaultPlan consulted once per parsed request,
+// ParseError → 400, NotFound → 404, anything else → 500, graceful drain on
+// stop().
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -56,6 +50,7 @@ const char* reason_for(int status) {
     case 405: return "Method Not Allowed";
     case 408: return "Request Timeout";
     case 409: return "Conflict";
+    case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
     case 503: return "Service Unavailable";
     default: return "Unknown";
@@ -84,7 +79,7 @@ void append_response(std::string& out, const HttpResponse& response,
   out.append(response.body);
 }
 
-/// Exception-to-status mapping shared by both engines.
+/// Exception-to-status mapping for handler errors.
 HttpResponse run_handler(const HttpServer::Handler& handler,
                          const HttpRequest& request) {
   try {
@@ -121,9 +116,8 @@ struct StatCounters {
     }
   }
 
-  ServerStats snapshot(const char* engine) const {
+  ServerStats snapshot() const {
     ServerStats out;
-    out.engine = engine;
     out.connections_accepted = accepted.load(std::memory_order_relaxed);
     out.connections_rejected = rejected.load(std::memory_order_relaxed);
     out.requests_served = served.load(std::memory_order_relaxed);
@@ -142,8 +136,8 @@ double now_seconds() {
 }
 
 /// Blocking write of `response` under a slow fault (dribbled chunks or a
-/// single injected delay), then an orderly close.  Used by the legacy engine
-/// inline and by the event loop's fault-offload workers.
+/// single injected delay), then an orderly close.  Runs on the event loop's
+/// fault-offload workers, never on a loop thread.
 void write_slow_faulted(TcpConnection& connection, const HttpResponse& response,
                         const FaultPlan::Decision& decision) {
   std::string wire;
@@ -171,24 +165,10 @@ std::size_t auto_loop_threads() {
 
 }  // namespace
 
-class HttpServer::Core {
+class HttpServer::EventLoop {
  public:
-  virtual ~Core() = default;
-  virtual std::uint16_t port() const = 0;
-  virtual void stop() = 0;
-  virtual ServerStats stats() const = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Event-loop engine
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class EventLoopCore final : public HttpServer::Core {
- public:
-  EventLoopCore(std::uint16_t port, HttpServer::Handler handler,
-                HttpServer::Options options)
+  EventLoop(std::uint16_t port, HttpServer::Handler handler,
+            HttpServer::Options options)
       : listener_(port),
         handler_(std::move(handler)),
         options_(std::move(options)) {
@@ -215,13 +195,13 @@ class EventLoopCore final : public HttpServer::Core {
     accept_thread_ = std::thread([this] { accept_loop(); });
   }
 
-  ~EventLoopCore() override { stop(); }
+  ~EventLoop() { stop(); }
 
-  std::uint16_t port() const override { return listener_.port(); }
+  std::uint16_t port() const { return listener_.port(); }
 
-  ServerStats stats() const override { return stats_.snapshot("event_loop"); }
+  ServerStats stats() const { return stats_.snapshot(); }
 
-  void stop() override {
+  void stop() {
     if (stopped_.exchange(true)) return;
     running_.store(false, std::memory_order_release);
     listener_.shutdown();
@@ -627,183 +607,6 @@ class EventLoopCore final : public HttpServer::Core {
 };
 
 // ---------------------------------------------------------------------------
-// Legacy thread-per-connection engine (bench baseline)
-// ---------------------------------------------------------------------------
-
-class ThreadPerConnCore final : public HttpServer::Core {
- public:
-  ThreadPerConnCore(std::uint16_t port, HttpServer::Handler handler,
-                    HttpServer::Options options)
-      : listener_(port),
-        handler_(std::move(handler)),
-        options_(std::move(options)) {
-    OPENEI_CHECK(options_.max_connection_threads > 0,
-                 "bad max_connection_threads");
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~ThreadPerConnCore() override { stop(); }
-
-  std::uint16_t port() const override { return listener_.port(); }
-
-  ServerStats stats() const override {
-    return stats_.snapshot("thread_per_connection");
-  }
-
-  void stop() override {
-    if (stopped_.exchange(true)) return;
-    running_.store(false);
-    worker_freed_.notify_all();
-    listener_.shutdown();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    // Drain in-flight workers (they are detached; each signals on exit).
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    worker_freed_.wait(lock, [this] { return active_workers_ == 0; });
-  }
-
- private:
-  void accept_loop() {
-    while (running_.load()) {
-      {
-        // The cap: accepting pauses while max_connection_threads workers
-        // are live, so a connection flood queues in the listen backlog
-        // instead of spawning unbounded threads.
-        std::unique_lock<std::mutex> lock(drain_mutex_);
-        worker_freed_.wait(lock, [this] {
-          return active_workers_ < options_.max_connection_threads ||
-                 !running_.load();
-        });
-      }
-      if (!running_.load()) break;
-      TcpConnection connection = [&]() -> TcpConnection {
-        try {
-          return listener_.accept_connection();
-        } catch (const IoError&) {
-          return TcpConnection(FdHandle{});  // listener shut down
-        }
-      }();
-      if (!connection.valid()) break;
-      stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-        ++active_workers_;
-        stats_.open.fetch_add(1, std::memory_order_relaxed);
-        stats_.bump_peak(active_workers_);
-      }
-      std::thread([this](TcpConnection conn) {
-        handle_connection(std::move(conn));
-        stats_.open.fetch_sub(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(drain_mutex_);
-        --active_workers_;
-        worker_freed_.notify_all();
-      }, std::move(connection)).detach();
-    }
-  }
-
-  /// Reads exactly one request through the incremental parser (identical
-  /// framing/limits to the event loop).  Returns false when the peer closed
-  /// before sending anything.
-  bool read_one_request(TcpConnection& connection, HttpRequest& request) {
-    RequestParser parser;
-    std::vector<HttpRequest> done;
-    char chunk[4096];
-    while (done.empty()) {
-      std::size_t n = connection.read_some(chunk, sizeof(chunk));
-      if (n == 0) {
-        if (!parser.mid_request()) return false;
-        throw ParseError("connection closed mid-request");
-      }
-      parser.feed(chunk, n, done);
-    }
-    request = std::move(done.front());
-    return true;
-  }
-
-  void handle_connection(TcpConnection connection) {
-    try {
-      connection.set_read_timeout(options_.read_timeout_s);
-      HttpRequest request;
-      try {
-        if (!read_one_request(connection, request)) return;
-      } catch (const ParseError& e) {
-        // Malformed framing: the peer may still be listening, so answer 400
-        // before closing.
-        stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-        std::string wire;
-        append_response(wire,
-                        HttpResponse::json(400, std::string(R"({"error":")") +
-                                                    e.what() + "\"}"),
-                        /*keep_alive=*/false);
-        connection.write_all(wire);
-        return;
-      }
-
-      FaultPlan::Decision decision;
-      if (options_.faults) decision = options_.faults->next(request.path);
-      if (decision.kind == FaultKind::kRefuseConnection) {
-        connection.close();  // dropped before a single response byte
-        return;
-      }
-      HttpResponse response =
-          decision.kind == FaultKind::kErrorBurst
-              ? HttpResponse::json(decision.status,
-                                   R"({"error":"injected fault: error burst"})")
-              : run_handler(handler_, request);
-      write_with_faults(connection, response, decision);
-    } catch (const std::exception& e) {
-      common::log_warn("http worker error: ", e.what());
-    }
-  }
-
-  void write_with_faults(TcpConnection& connection,
-                         const HttpResponse& response,
-                         const FaultPlan::Decision& decision) {
-    switch (decision.kind) {
-      case FaultKind::kResetMidStream: {
-        // A few bytes of the status line escape, then a hard RST.
-        connection.write_all("HTTP/1.1 ", 9);
-        connection.reset();
-        return;
-      }
-      case FaultKind::kTruncateResponse: {
-        std::string wire;
-        append_response(wire, response, /*keep_alive=*/false);
-        std::size_t keep =
-            wire.size() - (response.body.size() - response.body.size() / 2);
-        connection.write_all(wire.data(), keep);
-        connection.close();  // Content-Length promises more than was sent
-        return;
-      }
-      case FaultKind::kSlowRead:
-      case FaultKind::kInjectDelay:
-        write_slow_faulted(connection, response, decision);
-        stats_.served.fetch_add(1, std::memory_order_relaxed);
-        return;
-      default: {
-        std::string wire;
-        append_response(wire, response, /*keep_alive=*/false);
-        connection.write_all(wire);
-        stats_.served.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-
-  TcpListener listener_;
-  HttpServer::Handler handler_;
-  HttpServer::Options options_;
-  StatCounters stats_;
-  std::atomic<bool> running_{true};
-  std::atomic<bool> stopped_{false};
-  std::thread accept_thread_;
-  std::mutex drain_mutex_;
-  std::condition_variable worker_freed_;
-  std::size_t active_workers_ = 0;  // guarded by drain_mutex_
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // HttpServer facade
 // ---------------------------------------------------------------------------
 
@@ -814,21 +617,16 @@ HttpServer::HttpServer(std::uint16_t port, Handler handler, Options options) {
   OPENEI_CHECK(handler != nullptr, "null HTTP handler");
   OPENEI_CHECK(options.read_timeout_s > 0.0, "bad server read timeout");
   OPENEI_CHECK(options.idle_timeout_s > 0.0, "bad server idle timeout");
-  if (options.thread_per_connection) {
-    core_ = std::make_unique<ThreadPerConnCore>(port, std::move(handler),
-                                                std::move(options));
-  } else {
-    core_ = std::make_unique<EventLoopCore>(port, std::move(handler),
-                                            std::move(options));
-  }
+  loop_ = std::make_unique<EventLoop>(port, std::move(handler),
+                                      std::move(options));
 }
 
 HttpServer::~HttpServer() { stop(); }
 
-std::uint16_t HttpServer::port() const { return core_->port(); }
+std::uint16_t HttpServer::port() const { return loop_->port(); }
 
-void HttpServer::stop() { core_->stop(); }
+void HttpServer::stop() { loop_->stop(); }
 
-ServerStats HttpServer::stats() const { return core_->stats(); }
+ServerStats HttpServer::stats() const { return loop_->stats(); }
 
 }  // namespace openei::net

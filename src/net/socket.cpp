@@ -161,8 +161,7 @@ TcpListener::TcpListener(std::uint16_t port) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw_errno("bind() failed");
   }
-  // A deep backlog: the event-loop server accepts in bursts and the legacy
-  // engine deliberately pauses accepting at its worker cap, so connect
+  // A deep backlog: the event-loop server accepts in bursts, so connect
   // storms queue here instead of getting SYN-dropped.
   if (::listen(fd, 512) != 0) throw_errno("listen() failed");
 

@@ -2,21 +2,11 @@
 
 namespace openei::selector {
 
-bool satisfies(const Alem& alem, const Requirements& req, Objective objective) {
-  if (objective != Objective::kMaxAccuracy && alem.accuracy < req.min_accuracy) {
-    return false;
-  }
-  if (objective != Objective::kMinLatency && alem.latency_s > req.max_latency_s) {
-    return false;
-  }
-  if (objective != Objective::kMinEnergy && alem.energy_j > req.max_energy_j) {
-    return false;
-  }
-  if (objective != Objective::kMinMemory &&
-      alem.memory_bytes > req.max_memory_bytes) {
-    return false;
-  }
-  return true;
+bool satisfies(const Alem& alem, const Requirements& req) {
+  return alem.accuracy >= req.min_accuracy &&
+         alem.latency_s <= req.max_latency_s &&
+         alem.energy_j <= req.max_energy_j &&
+         alem.memory_bytes <= req.max_memory_bytes;
 }
 
 bool better(const Alem& a, const Alem& b, Objective objective) {

@@ -25,11 +25,11 @@ struct Alem {
   }
 };
 
-/// The constraint set of Equation 1: A >= A_req, E <= E_pro, M <= M_pro
-/// (whichever attribute is the objective has its constraint ignored).
+/// The constraint set of Equation 1: A >= A_req, E <= E_pro, M <= M_pro.
+/// Every bound holds whatever the objective; the defaults admit everything.
 struct Requirements {
   double min_accuracy = 0.0;       // A_req
-  double max_latency_s = 1e300;    // L bound when latency is a constraint
+  double max_latency_s = 1e300;    // L bound
   double max_energy_j = 1e300;     // E_pro
   std::size_t max_memory_bytes = SIZE_MAX;  // M_pro
 };
@@ -38,9 +38,10 @@ struct Requirements {
 /// Accuracy, the optimization target will be replaced by maximize A...").
 enum class Objective { kMinLatency, kMaxAccuracy, kMinEnergy, kMinMemory };
 
-/// True when `alem` satisfies every constraint except the one being
-/// optimized.
-bool satisfies(const Alem& alem, const Requirements& req, Objective objective);
+/// True when `alem` satisfies every constraint, including the one on the
+/// attribute being optimized (a caller's `min_accuracy` still binds under
+/// the max-accuracy objective).
+bool satisfies(const Alem& alem, const Requirements& req);
 
 /// True when `a` beats `b` under the objective (strictly better).
 bool better(const Alem& a, const Alem& b, Objective objective);

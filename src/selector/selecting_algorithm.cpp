@@ -17,7 +17,7 @@ bool eligible(const CapabilityEntry& entry, const SelectionRequest& request,
     if (stats != nullptr) ++stats->rejected_device;
     return false;
   }
-  if (!satisfies(entry.alem, request.requirements, request.objective)) {
+  if (!satisfies(entry.alem, request.requirements)) {
     if (stats != nullptr) ++stats->rejected_constraints;
     return false;
   }

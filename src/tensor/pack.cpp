@@ -254,6 +254,9 @@ __attribute__((target("avx512f"))) void kern_avx512(
     }
   }
   if (jn == kNR) {
+    // ReLU uses the full-mask maskz form: the same vmaxps, but GCC 12's
+    // _mm512_max_ps expands through _mm512_undefined_ps and trips
+    // -Wmaybe-uninitialized.
     const __m512 zero = _mm512_setzero_ps();
     for (int i = 0; i < MR; ++i) {
       float* crow = c + static_cast<std::size_t>(i) * ldc;
@@ -262,7 +265,7 @@ __attribute__((target("avx512f"))) void kern_avx512(
         v = _mm512_add_ps(_mm512_loadu_ps(crow), v);
       } else {
         if (bias != nullptr) v = _mm512_add_ps(v, _mm512_loadu_ps(bias));
-        if (relu) v = _mm512_max_ps(v, zero);
+        if (relu) v = _mm512_maskz_max_ps(0xFFFF, v, zero);
       }
       _mm512_storeu_ps(crow, v);
     }
@@ -322,8 +325,8 @@ __attribute__((target("avx512f"))) void kern_avx512x2(
         v1 = _mm512_add_ps(v1, _mm512_loadu_ps(bias + kNR));
       }
       if (relu) {
-        v0 = _mm512_max_ps(v0, zero);
-        v1 = _mm512_max_ps(v1, zero);
+        v0 = _mm512_maskz_max_ps(0xFFFF, v0, zero);
+        v1 = _mm512_maskz_max_ps(0xFFFF, v1, zero);
       }
     }
     _mm512_storeu_ps(crow, v0);

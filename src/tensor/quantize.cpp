@@ -414,6 +414,18 @@ __attribute__((target("avx2"))) void qgemm_rows_avx2(
   }
 }
 
+/// Horizontal int32 sum of a 512-bit accumulator: the two 256-bit halves
+/// added, then hsum_epi32.  Exact like every integer reduction order.
+/// (GCC 12's _mm512_reduce_add_epi32 and _mm512_castsi512_si256 expand
+/// through _mm256_undefined_si256 and trip -Wmaybe-uninitialized; the
+/// zero-masked extracts do not.)
+__attribute__((target("avx512f"), always_inline)) inline std::int32_t
+hsum512_epi32(__m512i v) {
+  return hsum_epi32(
+      _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xFF, v, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xFF, v, 1)));
+}
+
 /// 32-lane pmaddwd step, the 512-bit analog of madd16.
 __attribute__((target("avx512f,avx512bw,avx512vl"),
                always_inline)) inline __m512i madd32(__m512i sum,
@@ -448,8 +460,8 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) void qgemm_rows_avx512(
       s0a = madd32(s0a, a16 + p, w0 + p);
       s1a = madd32(s1a, a16 + p, w1 + p);
     }
-    std::int32_t t0 = _mm512_reduce_add_epi32(_mm512_add_epi32(s0a, s0b));
-    std::int32_t t1 = _mm512_reduce_add_epi32(_mm512_add_epi32(s1a, s1b));
+    std::int32_t t0 = hsum512_epi32(_mm512_add_epi32(s0a, s0b));
+    std::int32_t t1 = hsum512_epi32(_mm512_add_epi32(s1a, s1b));
     if (p + 16 <= chunk) {  // padded chunks are multiples of 16: one 256-bit
       t0 += hsum_epi32(madd16(_mm256_setzero_si256(), a16 + p, w0 + p));
       t1 += hsum_epi32(madd16(_mm256_setzero_si256(), a16 + p, w1 + p));
@@ -472,7 +484,7 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) void qgemm_rows_avx512(
       sb = madd32(sb, a16 + p + 32, wr + p + 32);
     }
     for (; p + 32 <= chunk; p += 32) sa = madd32(sa, a16 + p, wr + p);
-    std::int32_t t = _mm512_reduce_add_epi32(_mm512_add_epi32(sa, sb));
+    std::int32_t t = hsum512_epi32(_mm512_add_epi32(sa, sb));
     if (p + 16 <= chunk) {
       t += hsum_epi32(madd16(_mm256_setzero_si256(), a16 + p, wr + p));
       p += 16;
@@ -529,8 +541,8 @@ qgemm_rows_vnni(const std::uint8_t* au8, const std::int8_t* w,
       s1b = _mm512_dpbusd_epi32(s1b, av,
                                 _mm512_maskz_loadu_epi8(mask, w1 + p));
     }
-    acc[r] += _mm512_reduce_add_epi32(_mm512_add_epi32(s0a, s0b));
-    acc[r + 1] += _mm512_reduce_add_epi32(_mm512_add_epi32(s1a, s1b));
+    acc[r] += hsum512_epi32(_mm512_add_epi32(s0a, s0b));
+    acc[r + 1] += hsum512_epi32(_mm512_add_epi32(s1a, s1b));
   }
   if (r < nrows) {
     const std::int8_t* wr = w + r * stride;
@@ -547,7 +559,7 @@ qgemm_rows_vnni(const std::uint8_t* au8, const std::int8_t* w,
       sb = _mm512_dpbusd_epi32(sb, _mm512_maskz_loadu_epi8(mask, au8 + p),
                                _mm512_maskz_loadu_epi8(mask, wr + p));
     }
-    acc[r] += _mm512_reduce_add_epi32(_mm512_add_epi32(sa, sb));
+    acc[r] += hsum512_epi32(_mm512_add_epi32(sa, sb));
   }
 }
 

@@ -252,6 +252,26 @@ TEST(EdgeNodeTest, ServerLifecycleGuards) {
   node.stop_server();  // idempotent
 }
 
+TEST(EdgeNodeTest, MinAccuracyBindsUnderTheDefaultAccuracyObjective) {
+  // /ei_algorithms defaults to the max-accuracy objective; a caller's
+  // min_accuracy must still bind, so a node whose only model is 0.9
+  // accurate cannot satisfy 0.95.
+  Rng rng(43);
+  core::EdgeNode node(core::EdgeNodeConfig{hwsim::raspberry_pi_4(),
+                                           hwsim::openei_package(), 16});
+  node.deploy_model("home", "monitor", nn::zoo::make_mlp("m", 4, 2, {4}, rng),
+                    0.9);
+  net::HttpClient client(node.start_server(0), 5.0);
+  EXPECT_EQ(
+      client.get("/ei_algorithms/home/monitor?input=[1,2,3,4]&min_accuracy=0.9")
+          .status,
+      200);
+  auto response =
+      client.get("/ei_algorithms/home/monitor?input=[1,2,3,4]&min_accuracy=0.95");
+  EXPECT_EQ(response.status, 400) << response.body;
+  node.stop_server();
+}
+
 TEST(StatusRouteTest, RequestCountersEqualTheirMetricsSamples) {
   Rng rng(82);
   core::EdgeNode node(core::EdgeNodeConfig{hwsim::raspberry_pi_4(),

@@ -18,14 +18,17 @@ namespace {
 
 using common::Rng;
 
-TEST(AlemTest, SatisfiesIgnoresTheObjectiveAttribute) {
+TEST(AlemTest, SatisfiesEnforcesTheObjectiveAttributeBound) {
   Alem alem{.accuracy = 0.5, .latency_s = 10.0, .energy_j = 1.0,
             .memory_bytes = 100};
   Requirements req;
+  EXPECT_TRUE(satisfies(alem, req));  // the defaults admit everything
   req.min_accuracy = 0.9;  // violated
-  // When accuracy IS the objective its constraint is waived.
-  EXPECT_TRUE(satisfies(alem, req, Objective::kMaxAccuracy));
-  EXPECT_FALSE(satisfies(alem, req, Objective::kMinLatency));
+  EXPECT_FALSE(satisfies(alem, req));
+  req.min_accuracy = 0.5;  // the bound is inclusive
+  EXPECT_TRUE(satisfies(alem, req));
+  req.max_latency_s = 1.0;  // a latency bound binds too
+  EXPECT_FALSE(satisfies(alem, req));
 }
 
 TEST(AlemTest, SatisfiesChecksEveryConstraint) {
@@ -35,12 +38,12 @@ TEST(AlemTest, SatisfiesChecksEveryConstraint) {
   req.min_accuracy = 0.9;
   req.max_energy_j = 1.0;
   req.max_memory_bytes = 2000;
-  EXPECT_TRUE(satisfies(alem, req, Objective::kMinLatency));
+  EXPECT_TRUE(satisfies(alem, req));
   req.max_energy_j = 0.4;
-  EXPECT_FALSE(satisfies(alem, req, Objective::kMinLatency));
+  EXPECT_FALSE(satisfies(alem, req));
   req.max_energy_j = 1.0;
   req.max_memory_bytes = 500;
-  EXPECT_FALSE(satisfies(alem, req, Objective::kMinLatency));
+  EXPECT_FALSE(satisfies(alem, req));
 }
 
 TEST(AlemTest, BetterComparesAlongObjective) {
@@ -141,7 +144,7 @@ TEST_F(SelectorFixture, SelectMatchesBruteForce) {
           if (entry.device_name != request.device_name || !entry.deployable) {
             continue;
           }
-          if (!satisfies(entry.alem, request.requirements, objective)) continue;
+          if (!satisfies(entry.alem, request.requirements)) continue;
           if (expected == nullptr || better(entry.alem, expected->alem, objective)) {
             expected = &entry;
           }
