@@ -100,7 +100,7 @@ void run_fig4() {
 void BM_ScheduleFifo(benchmark::State& state) {
   std::vector<runtime::MlTask> tasks;
   for (int i = 0; i < 200; ++i) {
-    tasks.push_back({"t" + std::to_string(i), i * 0.001, 0.01,
+    tasks.push_back({std::string("t").append(std::to_string(i)), i * 0.001, 0.01,
                      i % 10 == 0 ? runtime::TaskPriority::kUrgent
                                  : runtime::TaskPriority::kBestEffort});
   }
@@ -114,7 +114,7 @@ BENCHMARK(BM_ScheduleFifo);
 void BM_SchedulePreemptive(benchmark::State& state) {
   std::vector<runtime::MlTask> tasks;
   for (int i = 0; i < 200; ++i) {
-    tasks.push_back({"t" + std::to_string(i), i * 0.001, 0.01,
+    tasks.push_back({std::string("t").append(std::to_string(i)), i * 0.001, 0.01,
                      i % 10 == 0 ? runtime::TaskPriority::kUrgent
                                  : runtime::TaskPriority::kBestEffort});
   }

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,12 +10,12 @@ namespace openei::common {
 
 bool Json::as_bool() const {
   OPENEI_CHECK(is_bool(), "JSON value is not a bool");
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 double Json::as_number() const {
   OPENEI_CHECK(is_number(), "JSON value is not a number");
-  return number_;
+  return std::get<double>(value_);
 }
 
 std::int64_t Json::as_int() const {
@@ -23,32 +24,32 @@ std::int64_t Json::as_int() const {
 
 const std::string& Json::as_string() const {
   OPENEI_CHECK(is_string(), "JSON value is not a string");
-  return string_;
+  return std::get<std::string>(value_);
 }
 
 const JsonArray& Json::as_array() const {
   OPENEI_CHECK(is_array(), "JSON value is not an array");
-  return array_;
+  return std::get<JsonArray>(value_);
 }
 
 JsonArray& Json::as_array() {
   OPENEI_CHECK(is_array(), "JSON value is not an array");
-  return array_;
+  return std::get<JsonArray>(value_);
 }
 
 const JsonObject& Json::as_object() const {
   OPENEI_CHECK(is_object(), "JSON value is not an object");
-  return object_;
+  return std::get<JsonObject>(value_);
 }
 
 JsonObject& Json::as_object() {
   OPENEI_CHECK(is_object(), "JSON value is not an object");
-  return object_;
+  return std::get<JsonObject>(value_);
 }
 
 const Json* Json::find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  for (const auto& [name, value] : object_) {
+  for (const auto& [name, value] : std::get<JsonObject>(value_)) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -62,34 +63,23 @@ const Json& Json::at(std::string_view key) const {
 
 void Json::set(std::string key, Json value) {
   OPENEI_CHECK(is_object() || is_null(), "set() on non-object JSON value");
-  if (is_null()) type_ = Type::kObject;
-  for (auto& [name, existing] : object_) {
+  if (is_null()) value_ = JsonObject{};
+  JsonObject& object = std::get<JsonObject>(value_);
+  for (auto& [name, existing] : object) {
     if (name == key) {
       existing = std::move(value);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  object.emplace_back(std::move(key), std::move(value));
 }
 
 const Json& Json::at(std::size_t index) const {
   OPENEI_CHECK(is_array(), "indexing a non-array JSON value");
-  OPENEI_CHECK(index < array_.size(), "JSON array index ", index, " out of range ",
-               array_.size());
-  return array_[index];
-}
-
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return number_ == other.number_;
-    case Type::kString: return string_ == other.string_;
-    case Type::kArray: return array_ == other.array_;
-    case Type::kObject: return object_ == other.object_;
-  }
-  return false;
+  const JsonArray& array = std::get<JsonArray>(value_);
+  OPENEI_CHECK(index < array.size(), "JSON array index ", index, " out of range ",
+               array.size());
+  return array[index];
 }
 
 namespace {
@@ -124,16 +114,14 @@ void write_number(std::string& out, double value) {
     out += "null";
     return;
   }
+  // Same bytes as printf's "%lld" and "%.17g", without the format parsing.
+  char buf[40];
   double rounded = std::round(value);
-  if (rounded == value && std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(rounded));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-  }
+  std::to_chars_result result =
+      rounded == value && std::fabs(value) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(rounded))
+          : std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out.append(buf, result.ptr);
 }
 
 void indent_to(std::string& out, int indent, int depth) {
@@ -145,39 +133,41 @@ void indent_to(std::string& out, int indent, int depth) {
 }  // namespace
 
 void Json::write(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: write_number(out, number_); return;
-    case Type::kString: write_escaped(out, string_); return;
+    case Type::kBool: out += std::get<bool>(value_) ? "true" : "false"; return;
+    case Type::kNumber: write_number(out, std::get<double>(value_)); return;
+    case Type::kString: write_escaped(out, std::get<std::string>(value_)); return;
     case Type::kArray: {
-      if (array_.empty()) {
+      const JsonArray& array = std::get<JsonArray>(value_);
+      if (array.empty()) {
         out += "[]";
         return;
       }
       out.push_back('[');
-      for (std::size_t i = 0; i < array_.size(); ++i) {
+      for (std::size_t i = 0; i < array.size(); ++i) {
         if (i > 0) out.push_back(',');
         indent_to(out, indent, depth + 1);
-        array_[i].write(out, indent, depth + 1);
+        array[i].write(out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
       out.push_back(']');
       return;
     }
     case Type::kObject: {
-      if (object_.empty()) {
+      const JsonObject& object = std::get<JsonObject>(value_);
+      if (object.empty()) {
         out += "{}";
         return;
       }
       out.push_back('{');
-      for (std::size_t i = 0; i < object_.size(); ++i) {
+      for (std::size_t i = 0; i < object.size(); ++i) {
         if (i > 0) out.push_back(',');
         indent_to(out, indent, depth + 1);
-        write_escaped(out, object_[i].first);
+        write_escaped(out, object[i].first);
         out.push_back(':');
         if (indent > 0) out.push_back(' ');
-        object_[i].second.write(out, indent, depth + 1);
+        object[i].second.write(out, indent, depth + 1);
       }
       indent_to(out, indent, depth);
       out.push_back('}');
@@ -381,8 +371,17 @@ class Parser {
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
     if (!any_digit) fail("invalid number");
-    std::string token(text_.substr(start, pos_ - start));
-    return Json(std::strtod(token.c_str(), nullptr));
+    // from_chars reads the scanned token in place and, like strtod, stops at
+    // a dangling exponent ("1e"). It leaves an out-of-range value unset where
+    // strtod gives +-inf or a signed zero, so those (1e400, 1e-400) take the
+    // strtod path.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    if (std::from_chars(first, last, value).ec != std::errc{}) {
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return Json(value);
   }
 
   std::string_view text_;

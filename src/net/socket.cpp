@@ -161,9 +161,10 @@ TcpListener::TcpListener(std::uint16_t port) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw_errno("bind() failed");
   }
-  // A deep backlog: the event-loop server accepts in bursts, so connect
-  // storms queue here instead of getting SYN-dropped.
-  if (::listen(fd, 512) != 0) throw_errno("listen() failed");
+  // The deepest backlog the kernel allows (it clamps SOMAXCONN to
+  // net.core.somaxconn): the event-loop server accepts in bursts, so connect
+  // storms queue here instead of getting SYN-dropped and retried a second later.
+  if (::listen(fd, SOMAXCONN) != 0) throw_errno("listen() failed");
 
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {

@@ -300,7 +300,7 @@ common::Json QuantizedConv2d::config() const {
   cfg.set("per_channel", packed_.per_channel());
   cfg.set("weight_zero_point", packed_.weight_zero_point());
   common::JsonArray scales;
-  for (float s : packed_.scales()) scales.push_back(common::Json{static_cast<double>(s)});
+  for (float s : packed_.scales()) scales.emplace_back(static_cast<double>(s));
   cfg.set("scales", common::Json{std::move(scales)});
   if (input_params_) {
     cfg.set("input_scale", static_cast<double>(input_params_->scale));

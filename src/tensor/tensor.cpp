@@ -7,7 +7,7 @@ namespace openei::tensor {
 
 namespace detail {
 
-thread_local AllocationTrackingScope* active_allocation_scope = nullptr;
+constinit thread_local AllocationTrackingScope* active_allocation_scope = nullptr;
 
 void on_tensor_alloc(std::size_t bytes) {
   AllocationStats& stats = active_allocation_scope->stats_;

@@ -37,7 +37,9 @@ class AllocationTrackingScope;
 namespace detail {
 /// Innermost active scope on this thread (nullptr = tracking off, the normal
 /// case — every Tensor ctor/dtor pays exactly one thread-local load+branch).
-extern thread_local AllocationTrackingScope* active_allocation_scope;
+/// constinit tells other translation units that no dynamic initializer runs,
+/// so reads skip the TLS wrapper call (whose null return UBSan reported).
+extern constinit thread_local AllocationTrackingScope* active_allocation_scope;
 void on_tensor_alloc(std::size_t bytes);
 void on_tensor_free(std::size_t bytes);
 inline void track_alloc(std::size_t bytes) {

@@ -1,12 +1,23 @@
 // Unit tests for src/common: errors, strings, JSON codec, RNG, clocks.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "nn/serialize.h"
+#include "nn/zoo.h"
 
 namespace openei::common {
 namespace {
@@ -175,6 +186,151 @@ TEST(JsonTest, NanSerializesAsNull) {
 TEST(JsonTest, PrettyOutputParsesBack) {
   Json v = Json::parse(R"({"a":[1,2],"b":{"c":null}})");
   EXPECT_EQ(Json::parse(v.pretty()), v);
+}
+
+std::string printf_double(const char* format, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+// Model weights reach the edge as JSON text, so every number the codec reads
+// must be the double strtod reads from the same token, bit for bit.
+TEST(JsonTest, NumbersParseBitIdenticalToStrtod) {
+  std::vector<std::string> corpus = {
+      "0", "-0", "-0.0", "1E+5", "1e-5", "2.5e+0", "1.", "-.5", "9007199254740993",
+      "1e400", "-1e400", "1e-400", "-1e-400", "1e-320",
+      "4.9406564584124654e-324", "2.4703282292062327e-324", "2.2250738585072009e-308",
+      "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+      "3.14159265358979323846264338327950288419716939937510582097494459",
+      "0.000000000000000000000000000000000000000012345678901234567890123456789",
+      "123456789012345678901234567890123456789012345678901234567890e-40",
+      "0.10000000000000000555111512312578270211815834045410156250000001"};
+  std::mt19937_64 bits(20190707);
+  std::normal_distribution<float> weight(0.0F, 0.5F);
+  for (int i = 0; i < 20000; ++i) {
+    double random = std::bit_cast<double>(bits());
+    if (std::isfinite(random)) {
+      corpus.push_back(printf_double("%.17g", random));
+      corpus.push_back(printf_double("%g", random));
+    }
+    // Subnormal bit patterns: exponent field zero.
+    double tiny = std::bit_cast<double>(bits() & 0x800FFFFFFFFFFFFFULL);
+    corpus.push_back(printf_double("%.17g", tiny));
+    // Float-derived values, as model weights are written.
+    double w = weight(bits);
+    corpus.push_back(printf_double("%.17g", w));
+    corpus.push_back(printf_double("%.9g", w));
+  }
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (const std::string& token : corpus) {
+    double expected = std::strtod(token.c_str(), nullptr);
+    double parsed = Json::parse(token).as_number();
+    if (std::bit_cast<std::uint64_t>(parsed) != std::bit_cast<std::uint64_t>(expected)) {
+      if (mismatches++ == 0) first_mismatch = token;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U) << "first mismatch: " << first_mismatch;
+  // The out-of-range tokens keep strtod's results: +-inf and signed zero.
+  EXPECT_EQ(Json::parse("1e400").as_number(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Json::parse("-1e400").as_number(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Json::parse("1e-400").as_number(), 0.0);
+  EXPECT_TRUE(std::signbit(Json::parse("-1e-400").as_number()));
+}
+
+// Golden bytes: integers below 1e15 print as "%lld", everything else finite
+// as "%.17g", and NaN/inf as null.
+TEST(JsonTest, DumpMatchesGoldenBytes) {
+  const std::vector<std::pair<double, std::string>> golden = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {42.0, "42"},
+      {-17.0, "-17"},
+      {999999999999999.0, "999999999999999"},
+      {-999999999999999.0, "-999999999999999"},
+      {1e15, "1000000000000000"},
+      {-1e15, "-1000000000000000"},
+      {1e16, "10000000000000000"},
+      {123456789012345678.0, "1.2345678901234568e+17"},
+      {1e17, "1e+17"},
+      {1e300, "1.0000000000000001e+300"},
+      {0.1, "0.10000000000000001"},
+      {1.5, "1.5"},
+      {2.5, "2.5"},
+      {-0.5, "-0.5"},
+      {1.0 / 3.0, "0.33333333333333331"},
+      {-2.5e-8, "-2.4999999999999999e-08"},
+      {static_cast<double>(0.1F), "0.10000000149011612"},
+      {3.0e-310, "2.9999999999999908e-310"},
+      {5e-324, "4.9406564584124654e-324"},
+      {1.7976931348623157e308, "1.7976931348623157e+308"},
+      {std::nan(""), "null"},
+      {std::numeric_limits<double>::infinity(), "null"},
+      {-std::numeric_limits<double>::infinity(), "null"},
+  };
+  for (const auto& [value, text] : golden) EXPECT_EQ(Json(value).dump(), text) << text;
+  Json doc(JsonObject{{"w", Json(JsonArray{Json(1), Json(0.25), Json(std::nan(""))})},
+                      {"n", Json(std::int64_t{-3})}});
+  EXPECT_EQ(doc.dump(), R"({"w":[1,0.25,null],"n":-3})");
+}
+
+// One node per weight: the node size bounds a model document's memory.
+TEST(JsonTest, ValueNodeIsCompact) { EXPECT_LE(sizeof(Json), 40U); }
+
+// Hostile bytes on the wire (a corrupted model upload, a mangled request
+// body) must end in a value or a ParseError, never another exception or a
+// crash; the sanitizer builds run this too.
+TEST(JsonTest, HostileMutantsParseOrThrowParseError) {
+  Rng rng(14);
+  JsonArray rows;
+  for (int r = 0; r < 4; ++r) {
+    JsonArray row;
+    for (int c = 0; c < 6; ++c) row.emplace_back(rng.normal());
+    rows.emplace_back(std::move(row));
+  }
+  const std::vector<std::string> payloads = {
+      nn::save_model(nn::zoo::make_mlp("hostile", 6, 3, {8}, rng)), Json(rows).dump()};
+  const std::string alphabet = "{}[],:\"\\-+.eE0123456789 tfnu";
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& payload : payloads) {
+    for (int m = 0; m < 500; ++m) {
+      std::string mutant = payload;
+      for (std::int64_t e = rng.uniform_int(1, 4); e > 0; --e) {
+        auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(mutant.size())));
+        auto byte = static_cast<char>(
+            rng.flip() ? alphabet[static_cast<std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(alphabet.size()) - 1))]
+                       : rng.uniform_int(0, 255));
+        switch (rng.uniform_int(0, 3)) {
+          case 0:  // byte flip
+            if (at < mutant.size()) mutant[at] = byte;
+            break;
+          case 1:  // truncation
+            mutant.resize(at);
+            break;
+          case 2:  // insert
+            mutant.insert(at, 1, byte);
+            break;
+          default:  // delete a short run
+            mutant.erase(at, static_cast<std::size_t>(rng.uniform_int(1, 8)));
+        }
+      }
+      try {
+        Json::parse(mutant);
+        ++parsed;
+      } catch (const ParseError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << m << " threw " << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(parsed + rejected, 1000U);
+  EXPECT_GT(parsed, 0U);
+  EXPECT_GT(rejected, 0U);
 }
 
 TEST(RngTest, SameSeedSameSequence) {

@@ -230,7 +230,7 @@ TEST(ParetoTest, FrontierContainsNoDominatedEntries) {
   std::vector<nn::Model> models;
   for (auto hidden : std::vector<std::vector<std::size_t>>{{2}, {16}, {96}}) {
     nn::Model model =
-        nn::zoo::make_mlp("m" + std::to_string(hidden[0]), 10, 3, hidden, rng);
+        nn::zoo::make_mlp(std::string("m").append(std::to_string(hidden[0])), 10, 3, hidden, rng);
     nn::fit(model, train, topt);
     models.push_back(std::move(model));
   }

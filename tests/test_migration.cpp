@@ -56,7 +56,7 @@ TEST(MigrationTest, MakespanNeverWorseThanLocalOnly) {
     std::vector<runtime::MigratableTask> tasks;
     std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 20));
     for (std::size_t i = 0; i < count; ++i) {
-      tasks.push_back({"t" + std::to_string(i), rng.uniform(1e6, 1e9),
+      tasks.push_back({std::string("t").append(std::to_string(i)), rng.uniform(1e6, 1e9),
                        static_cast<std::size_t>(rng.uniform_int(100, 1000000))});
     }
     for (const auto& link : hwsim::default_links()) {

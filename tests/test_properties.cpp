@@ -113,7 +113,7 @@ selector::CapabilityDatabase random_db(Rng& rng, std::size_t entries) {
   const char* devices[] = {"dev-a", "dev-b"};
   for (std::size_t i = 0; i < entries; ++i) {
     selector::CapabilityEntry entry;
-    entry.model_name = "m" + std::to_string(i);
+    entry.model_name = std::string("m").append(std::to_string(i));
     entry.package_name = "p" + std::to_string(i % 3);
     entry.device_name = devices[i % 2];
     entry.alem.accuracy = rng.uniform(0.3, 1.0);
