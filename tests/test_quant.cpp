@@ -20,8 +20,10 @@
 #include "hwsim/device.h"
 #include "hwsim/package.h"
 #include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
+#include "nn/factored_conv.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
 #include "runtime/arena.h"
@@ -756,6 +758,52 @@ TEST(ArenaTest, BitwiseEqualForMlpAndQuantizedModels) {
     Tensor images = Tensor::random_uniform(Shape{2, 3, 16, 16}, rng, -1.0F, 1.0F);
     nn::Model qvgg = std::move(compress::quantize_int8(vgg).model);
     expect_arena_matches_model(qvgg, images);
+  }
+}
+
+// No zoo model uses these layer types, so each one is pinned here: AvgPool2d,
+// Sigmoid, Tanh, rank-4 and rank-2 BatchNorm with trained running stats,
+// FactoredConv2d and FactoredDense.
+TEST(ArenaTest, BitwiseEqualForLayerTypesOutsideTheZoo) {
+  for (std::size_t threads : {1U, 4U}) {
+    ScopedThreads scope(threads);
+    Rng rng(107);
+    Tensor images = Tensor::random_uniform(Shape{3, 3, 8, 8}, rng, -1.0F, 1.0F);
+
+    tensor::Conv2dSpec spec;
+    spec.in_channels = 3;
+    spec.out_channels = 4;
+    spec.kernel = 3;
+    spec.padding = 1;
+    nn::Model normed("normed", Shape{3, 8, 8});
+    normed.add(std::make_unique<nn::Conv2d>(spec, rng));
+    normed.add(std::make_unique<nn::BatchNorm>(4));
+    normed.add(std::make_unique<nn::AvgPool2d>(2));
+    normed.add(std::make_unique<nn::Sigmoid>());
+    normed.add(std::make_unique<nn::Flatten>());
+    normed.add(std::make_unique<nn::Dense>(4 * 4 * 4, 5, rng));
+    normed.add(std::make_unique<nn::Tanh>());
+    normed.add(std::make_unique<nn::BatchNorm>(5));
+    for (int pass = 0; pass < 3; ++pass) {
+      Tensor train = Tensor::random_uniform(Shape{4, 3, 8, 8}, rng, -2.0F, 2.0F);
+      (void)normed.forward(train, /*training=*/true);
+    }
+    expect_arena_matches_model(normed, images);
+
+    tensor::Conv2dSpec full = spec;
+    full.out_channels = 6;
+    nn::Model factored("factored", Shape{3, 8, 8});
+    factored.add(std::make_unique<nn::FactoredConv2d>(
+        full, Tensor::random_uniform(Shape{2, 3, 3, 3}, rng, -0.5F, 0.5F),
+        Tensor::random_uniform(Shape{6, 2, 1, 1}, rng, -0.5F, 0.5F),
+        Tensor::random_uniform(Shape{6}, rng, -0.1F, 0.1F)));
+    factored.add(std::make_unique<nn::Relu>());
+    factored.add(std::make_unique<nn::Flatten>());
+    factored.add(std::make_unique<nn::FactoredDense>(
+        Tensor::random_uniform(Shape{6 * 8 * 8, 3}, rng, -0.1F, 0.1F),
+        Tensor::random_uniform(Shape{3, 5}, rng, -0.5F, 0.5F),
+        Tensor::random_uniform(Shape{5}, rng, -0.1F, 0.1F)));
+    expect_arena_matches_model(factored, images);
   }
 }
 
