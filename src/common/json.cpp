@@ -350,31 +350,40 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  /// True when the next character is `c` (false at end of input).
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Skips a run of digits; false when there is none.
+  bool skip_digits() {
     std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool any_digit = false;
     while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
-      any_digit = true;
     }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    return pos_ > start;
+  }
+
+  Json parse_number() {
+    // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    // A leading zero ends the integer part, so "01" fails as trailing input.
+    std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0')) {
       ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        any_digit = true;
-      }
+    } else if (!skip_digits()) {
+      fail("invalid number");
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (at('.')) {
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      if (!skip_digits()) fail("invalid number: no digit after '.'");
     }
-    if (!any_digit) fail("invalid number");
-    // from_chars reads the scanned token in place and, like strtod, stops at
-    // a dangling exponent ("1e"). It leaves an out-of-range value unset where
-    // strtod gives +-inf or a signed zero, so those (1e400, 1e-400) take the
-    // strtod path.
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!skip_digits()) fail("invalid number: no digit in exponent");
+    }
+    // from_chars reads the scanned token in place. It leaves an out-of-range
+    // value unset where strtod gives +-inf or a signed zero, so those (1e400,
+    // 1e-400) take the strtod path.
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
     double value = 0.0;

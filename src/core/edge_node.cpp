@@ -45,17 +45,13 @@ net::HttpResponse EdgeNode::call(const std::string& method,
   try {
     return service_.handle(request);
   } catch (const ParseError& e) {
-    return net::HttpResponse::json(400,
-                                   std::string(R"({"error":")") + e.what() + "\"}");
+    return net::HttpResponse::error(400, e.what());
   } catch (const InvalidArgument& e) {
-    return net::HttpResponse::json(400,
-                                   std::string(R"({"error":")") + e.what() + "\"}");
+    return net::HttpResponse::error(400, e.what());
   } catch (const NotFound& e) {
-    return net::HttpResponse::json(404,
-                                   std::string(R"({"error":")") + e.what() + "\"}");
+    return net::HttpResponse::error(404, e.what());
   } catch (const std::exception& e) {
-    return net::HttpResponse::json(500,
-                                   std::string(R"({"error":")") + e.what() + "\"}");
+    return net::HttpResponse::error(500, e.what());
   }
 }
 

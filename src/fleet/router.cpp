@@ -246,8 +246,7 @@ HttpResponse Router::route(const HttpRequest& request) {
         replicas = deploy(scenario->second, algorithm->second, request.body,
                           accuracy);
       } catch (const Error& e) {
-        return HttpResponse::json(
-            400, std::string(R"({"error":")") + e.what() + "\"}");
+        return HttpResponse::error(400, e.what());
       }
       Json out{JsonObject{}};
       out.set("deployed", Json::parse(request.body).at("name").as_string());
@@ -395,8 +394,7 @@ HttpResponse Router::undeploy(const std::string& name,
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = tracked_.find(name);
     if (it == tracked_.end()) {
-      return HttpResponse::json(
-          404, R"({"error":"no tracked model named ')" + name + R"('"})");
+      return HttpResponse::error(404, "no tracked model named '" + name + "'");
     }
     key = it->second.scenario + '/' + it->second.algorithm;
   }

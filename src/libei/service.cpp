@@ -1095,9 +1095,8 @@ HttpResponse EiService::handle_models(const HttpRequest& request,
         throw NotFound("no model named '" + name + "'");
       }
       if (!registry_.rollback(name)) {
-        return HttpResponse::json(
-            409, R"({"error":"no prior version retained for ')" + name +
-                     R"('"})");
+        return HttpResponse::error(
+            409, "no prior version retained for '" + name + "'");
       }
       meter_.counter("ei_model_rollbacks_total").increment();
       Json out{JsonObject{}};

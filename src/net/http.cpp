@@ -6,9 +6,16 @@
 
 #include "common/clock.h"
 #include "common/error.h"
+#include "common/json.h"
 #include "common/strings.h"
 
 namespace openei::net {
+
+HttpResponse HttpResponse::error(int status, const std::string& message) {
+  common::Json body{common::JsonObject{}};
+  body.set("error", message);
+  return json(status, body.dump());
+}
 
 using common::split;
 using common::starts_with;

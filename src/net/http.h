@@ -37,6 +37,9 @@ struct HttpResponse {
   static HttpResponse json(int status, const std::string& body) {
     return HttpResponse{status, "application/json", body};
   }
+  /// `{"error": message}` with the message JSON-escaped, so an exception
+  /// text or model name quoting itself still yields a parseable body.
+  static HttpResponse error(int status, const std::string& message);
 };
 
 /// Parses "GET /path?a=1 HTTP/1.1" request text (headers + body already

@@ -85,14 +85,11 @@ HttpResponse run_handler(const HttpServer::Handler& handler,
   try {
     return handler(request);
   } catch (const ParseError& e) {
-    return HttpResponse::json(400,
-                              std::string(R"({"error":")") + e.what() + "\"}");
+    return HttpResponse::error(400, e.what());
   } catch (const NotFound& e) {
-    return HttpResponse::json(404,
-                              std::string(R"({"error":")") + e.what() + "\"}");
+    return HttpResponse::error(404, e.what());
   } catch (const std::exception& e) {
-    return HttpResponse::json(500,
-                              std::string(R"({"error":")") + e.what() + "\"}");
+    return HttpResponse::error(500, e.what());
   }
 }
 
@@ -488,9 +485,7 @@ class HttpServer::EventLoop {
         // Malformed framing: the peer may still be listening, so answer 400
         // before closing (framing is unrecoverable).
         stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-        append_response(conn.out,
-                        HttpResponse::json(400, std::string(R"({"error":")") +
-                                                    e.what() + "\"}"),
+        append_response(conn.out, HttpResponse::error(400, e.what()),
                         /*keep_alive=*/false);
         conn.close_after_flush = true;
         flush(loop, conn);

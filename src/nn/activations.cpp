@@ -1,8 +1,7 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "common/parallel.h"
+#include "tensor/ops.h"
 
 namespace openei::nn {
 
@@ -22,9 +21,8 @@ void parallel_elementwise(std::span<float> data, const Fn& fn) {
 
 Tensor Relu::forward(const Tensor& input, bool training) {
   if (training) cached_input_ = input;
-  Tensor out = input;
-  auto o = out.data();
-  parallel_elementwise(o, [&](std::size_t i) { o[i] = o[i] > 0.0F ? o[i] : 0.0F; });
+  Tensor out(input.shape());
+  tensor::relu_into(input.data().data(), input.elements(), out.data().data());
   return out;
 }
 
@@ -41,10 +39,8 @@ Tensor Relu::backward(const Tensor& grad_output) {
 }
 
 Tensor Sigmoid::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  auto o = out.data();
-  parallel_elementwise(
-      o, [&](std::size_t i) { o[i] = 1.0F / (1.0F + std::exp(-o[i])); });
+  Tensor out(input.shape());
+  tensor::sigmoid_into(input.data().data(), input.elements(), out.data().data());
   if (training) cached_output_ = out;
   return out;
 }
@@ -60,9 +56,8 @@ Tensor Sigmoid::backward(const Tensor& grad_output) {
 }
 
 Tensor Tanh::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  auto o = out.data();
-  parallel_elementwise(o, [&](std::size_t i) { o[i] = std::tanh(o[i]); });
+  Tensor out(input.shape());
+  tensor::tanh_into(input.data().data(), input.elements(), out.data().data());
   if (training) cached_output_ = out;
   return out;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/parallel.h"
+#include "tensor/ops.h"
 
 namespace openei::nn {
 
@@ -91,19 +92,14 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
   }
 
   Tensor out(shape);
-  Tensor normalized(shape);
-  auto o = out.data();
-  auto nh = normalized.data();
-  common::parallel_for(0, x.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      std::size_t f = feature_of(i, shape);
-      nh[i] = (x[i] - mean[f]) * inv_std[f];
-      o[i] = gamma_[f] * nh[i] + beta_[f];
-    }
-  });
+  std::size_t hw = shape.rank() == 4 ? shape.dim(2) * shape.dim(3) : 1;
+  if (training) cached_normalized_ = Tensor(shape);
+  tensor::batchnorm_into(x.data(), x.size(), features_, hw, mean.data().data(),
+                         inv_std.data().data(), gamma_.data().data(),
+                         beta_.data().data(), out.data().data(),
+                         training ? cached_normalized_.data().data() : nullptr);
 
   if (training) {
-    cached_normalized_ = std::move(normalized);
     cached_batch_inv_std_ = std::move(inv_std);
     cached_shape_ = shape;
     cached_per_feature_ = per_feature;

@@ -225,24 +225,8 @@ void QuantizedConv2d::forward_into(const float* input, std::size_t n,
   tensor::qgemm_t(patch_staging, gemm_rows, patch, params, packed_,
                   bias_.data().data(), fuse_relu, gemm_scratch);
 
-  // Scatter [N*oh*ow, oc] back to NCHW; images write disjoint slices (same
-  // decomposition as the float conv2d_im2col path).
-  std::size_t rows_per_image = out_h * out_w;
-  std::size_t image_out = spec_.out_channels * rows_per_image;
-  common::parallel_for(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          const float* src = gemm_scratch + b * rows_per_image * spec_.out_channels;
-          float* dst = out + b * image_out;
-          for (std::size_t pix = 0; pix < rows_per_image; ++pix) {
-            for (std::size_t oc = 0; oc < spec_.out_channels; ++oc) {
-              dst[oc * rows_per_image + pix] = src[pix * spec_.out_channels + oc];
-            }
-          }
-        }
-      },
-      /*grain=*/1);
+  tensor::scatter_nchw_into(gemm_scratch, n, out_h * out_w, spec_.out_channels,
+                            out);
 }
 
 Tensor QuantizedConv2d::forward(const Tensor& input, bool training) {
@@ -417,42 +401,8 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
 }
 
 Tensor MaxPool2d::forward(const Tensor& input, bool training) {
-  OPENEI_CHECK(input.shape().rank() == 4, "maxpool input must be NCHW");
   if (training) cached_input_shape_ = input.shape();
-  std::size_t n = input.shape().dim(0);
-  std::size_t c = input.shape().dim(1);
-  std::size_t h = input.shape().dim(2);
-  std::size_t w = input.shape().dim(3);
-  OPENEI_CHECK(h >= window_ && w >= window_, "maxpool window too large");
-  std::size_t out_h = h / window_;
-  std::size_t out_w = w / window_;
-  Tensor out(Shape{n, c, out_h, out_w});
-  if (training) winner_flat_.assign(out.elements(), 0);
-  std::size_t out_idx = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow, ++out_idx) {
-          float best = input.at4(b, ch, oh * window_, ow * window_);
-          std::size_t best_flat =
-              ((b * c + ch) * h + oh * window_) * w + ow * window_;
-          for (std::size_t kh = 0; kh < window_; ++kh) {
-            for (std::size_t kw = 0; kw < window_; ++kw) {
-              float v = input.at4(b, ch, oh * window_ + kh, ow * window_ + kw);
-              if (v > best) {
-                best = v;
-                best_flat =
-                    ((b * c + ch) * h + oh * window_ + kh) * w + ow * window_ + kw;
-              }
-            }
-          }
-          out.at4(b, ch, oh, ow) = best;
-          if (training) winner_flat_[out_idx] = best_flat;
-        }
-      }
-    }
-  }
-  return out;
+  return tensor::maxpool2d(input, window_, training ? &winner_flat_ : nullptr);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {

@@ -1,5 +1,7 @@
 #include "nn/residual.h"
 
+#include "tensor/ops.h"
+
 namespace openei::nn {
 
 ResidualBlock::ResidualBlock(std::vector<LayerPtr> body, LayerPtr projection)
@@ -19,7 +21,9 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
                "residual branch shapes differ: ", out.shape().to_string(), " vs ",
                shortcut.shape().to_string(),
                " (add a projection layer)");
-  return out + shortcut;
+  tensor::add_into(out.data().data(), shortcut.data().data(), out.elements(),
+                   out.data().data());
+  return out;
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {

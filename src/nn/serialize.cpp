@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -32,12 +33,27 @@ Json tensor_to_json(const Tensor& t) {
   return out;
 }
 
-Tensor tensor_from_json(const Json& doc) {
+/// Reads a wire shape and checks that its overflow-checked element count is
+/// `value_count`, so nothing is ever sized from dims a document only claims.
+std::vector<std::size_t> dims_from_json(const Json& shape,
+                                        std::size_t value_count) {
   std::vector<std::size_t> dims;
-  for (const Json& d : doc.at("shape").as_array()) {
-    dims.push_back(static_cast<std::size_t>(d.as_int()));
+  std::size_t count = 1;
+  for (const Json& d : shape.as_array()) {
+    std::int64_t dim = d.as_int();
+    if (dim <= 0) throw ParseError("non-positive dimension in weight shape");
+    auto udim = static_cast<std::size_t>(dim);
+    if (count > SIZE_MAX / udim) throw ParseError("weight shape overflows");
+    count *= udim;
+    dims.push_back(udim);
   }
+  if (count != value_count) throw ParseError("weight shape/value count mismatch");
+  return dims;
+}
+
+Tensor tensor_from_json(const Json& doc) {
   const JsonArray& values = doc.at("values").as_array();
+  std::vector<std::size_t> dims = dims_from_json(doc.at("shape"), values.size());
   std::vector<float> data;
   data.reserve(values.size());
   for (const Json& v : values) data.push_back(static_cast<float>(v.as_number()));
@@ -59,16 +75,17 @@ Json packed_to_json(const tensor::PackedQuantMatrix& packed) {
   return out;
 }
 
+std::vector<std::int8_t> int8_values_from_json(const JsonArray& values) {
+  std::vector<std::int8_t> out;
+  out.reserve(values.size());
+  for (const Json& v : values) out.push_back(static_cast<std::int8_t>(v.as_int()));
+  return out;
+}
+
 tensor::PackedQuantMatrix packed_from_json(const Json& weights, const Json& cfg) {
-  const JsonArray& shape = weights.at("shape").as_array();
-  OPENEI_CHECK(shape.size() == 2, "packed weights must be rank 2");
-  auto rows = static_cast<std::size_t>(shape[0].as_int());
-  auto cols = static_cast<std::size_t>(shape[1].as_int());
-  std::vector<std::int8_t> values;
-  values.reserve(rows * cols);
-  for (const Json& v : weights.at("values").as_array()) {
-    values.push_back(static_cast<std::int8_t>(v.as_int()));
-  }
+  const JsonArray& values = weights.at("values").as_array();
+  std::vector<std::size_t> dims = dims_from_json(weights.at("shape"), values.size());
+  if (dims.size() != 2) throw ParseError("packed weights must be rank 2");
   std::vector<float> scales;
   for (const Json& s : cfg.at("scales").as_array()) {
     scales.push_back(static_cast<float>(s.as_number()));
@@ -79,8 +96,8 @@ tensor::PackedQuantMatrix packed_from_json(const Json& weights, const Json& cfg)
           : 0;
   bool per_channel =
       cfg.contains("per_channel") ? cfg.at("per_channel").as_bool() : true;
-  return {rows, cols, std::move(values), std::move(scales), weight_zero_point,
-          per_channel};
+  return {dims[0], dims[1], int8_values_from_json(values), std::move(scales),
+          weight_zero_point, per_channel};
 }
 
 std::optional<tensor::QuantParams> input_params_from_config(const Json& cfg) {
@@ -197,20 +214,14 @@ LayerPtr layer_from_json(const Json& doc) {
     }
     // Legacy per-tensor affine format: weights stored [in, out] with one
     // scale/zero_point pair in the config.
-    std::vector<std::size_t> dims;
-    for (const Json& d : weights.at("shape").as_array()) {
-      dims.push_back(static_cast<std::size_t>(d.as_int()));
-    }
-    std::vector<std::int8_t> values;
-    for (const Json& v : weights.at("values").as_array()) {
-      values.push_back(static_cast<std::int8_t>(v.as_int()));
-    }
+    const JsonArray& values = weights.at("values").as_array();
+    std::vector<std::size_t> dims = dims_from_json(weights.at("shape"), values.size());
     tensor::QuantParams params;
     params.scale = static_cast<float>(cfg.at("scale").as_number());
     params.zero_point = static_cast<std::int32_t>(cfg.at("zero_point").as_int());
     return std::make_unique<QuantizedDense>(
-        tensor::QuantizedTensor(tensor::Shape(std::move(dims)), std::move(values),
-                                params),
+        tensor::QuantizedTensor(tensor::Shape(std::move(dims)),
+                                int8_values_from_json(values), params),
         tensor_from_json(doc.at("bias")));
   }
   if (type == "quantized_conv2d") {
@@ -244,14 +255,24 @@ LayerPtr layer_from_json(const Json& doc) {
                                             tensor_from_json(doc.at("bias")));
   }
   if (type == "batchnorm") {
+    // `features` sizes the layer's buffers: check it against real values.
+    Tensor gamma = tensor_from_json(doc.at("gamma"));
+    Tensor beta = tensor_from_json(doc.at("beta"));
+    Tensor mean = tensor_from_json(doc.at("running_mean"));
+    Tensor var = tensor_from_json(doc.at("running_var"));
+    auto features = static_cast<std::size_t>(cfg.at("features").as_int());
+    for (const Tensor* t : {&gamma, &beta, &mean, &var}) {
+      if (t->elements() != features) {
+        throw ParseError("batchnorm tensor size differs from its feature count");
+      }
+    }
     auto bn = std::make_unique<BatchNorm>(
-        static_cast<std::size_t>(cfg.at("features").as_int()),
-        static_cast<float>(cfg.at("momentum").as_number()),
+        features, static_cast<float>(cfg.at("momentum").as_number()),
         static_cast<float>(cfg.at("epsilon").as_number()));
-    *bn->parameters()[0] = tensor_from_json(doc.at("gamma"));
-    *bn->parameters()[1] = tensor_from_json(doc.at("beta"));
-    bn->running_mean() = tensor_from_json(doc.at("running_mean"));
-    bn->running_var() = tensor_from_json(doc.at("running_var"));
+    *bn->parameters()[0] = std::move(gamma);
+    *bn->parameters()[1] = std::move(beta);
+    bn->running_mean() = std::move(mean);
+    bn->running_var() = std::move(var);
     return bn;
   }
   if (type == "residual") {
@@ -302,17 +323,29 @@ Json model_to_json(const Model& model) {
 }
 
 Model model_from_json(const Json& doc) {
-  OPENEI_CHECK(doc.at("format").as_string() == "openei-model-v1",
-               "unsupported model format");
-  std::vector<std::size_t> dims;
-  for (const Json& d : doc.at("input_shape").as_array()) {
-    dims.push_back(static_cast<std::size_t>(d.as_int()));
+  // Every way a document can be invalid (missing key, wrong type, bad shape,
+  // layers that do not chain) reports as ParseError: the document is at
+  // fault, not the caller.
+  try {
+    if (doc.at("format").as_string() != "openei-model-v1") {
+      throw ParseError("unsupported model format");
+    }
+    std::vector<std::size_t> dims;
+    for (const Json& d : doc.at("input_shape").as_array()) {
+      std::int64_t dim = d.as_int();
+      if (dim <= 0) throw ParseError("non-positive dimension in input_shape");
+      dims.push_back(static_cast<std::size_t>(dim));
+    }
+    Model model(doc.at("name").as_string(), tensor::Shape(std::move(dims)));
+    for (const Json& layer : doc.at("layers").as_array()) {
+      model.add(layer_from_json(layer));
+    }
+    return model;
+  } catch (const ParseError&) {
+    throw;
+  } catch (const openei::Error& e) {
+    throw ParseError(std::string("invalid model document: ") + e.what());
   }
-  Model model(doc.at("name").as_string(), tensor::Shape(std::move(dims)));
-  for (const Json& layer : doc.at("layers").as_array()) {
-    model.add(layer_from_json(layer));
-  }
-  return model;
 }
 
 std::string save_model(const Model& model) { return model_to_json(model).dump(); }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
@@ -67,47 +66,27 @@ std::size_t ForwardArena::plan_conv(const nn::Conv2d& conv,
   const tensor::Conv2dSpec spec = conv.spec();
   std::size_t in_h = in_sample.dim(1);
   std::size_t in_w = in_sample.dim(2);
-  std::size_t oh = spec.out_size(in_h);
-  std::size_t ow = spec.out_size(in_w);
+  std::size_t pixels = spec.out_size(in_h) * spec.out_size(in_w);
   std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
   std::size_t oc = spec.out_channels;
-  std::size_t patch_buf = new_fbuf(oh * ow * patch);
-  std::size_t gemm_buf = new_fbuf(oh * ow * oc);
-  std::size_t out_buf = new_fbuf(oc * oh * ow);
+  std::size_t patch_buf = new_fbuf(pixels * patch);
+  std::size_t gemm_buf = new_fbuf(pixels * oc);
+  std::size_t out_buf = new_fbuf(oc * pixels);
 
   // Plan-time prepack of the [oc, patch] weights into the [patch, oc] panel
-  // layout the microkernels consume — the same packing conv2d_im2col builds
-  // per call, so the two conv routes stay bitwise-identical.
+  // layout the microkernels consume — the packing conv2d_im2col builds per
+  // call before running the same conv2d_packed_into.
   tensor::PackedMatrix wp = tensor::PackedMatrix::pack_transposed(
       conv.weights().reshaped(tensor::Shape{oc, patch}));
 
   const nn::Conv2d* cp = &conv;
   steps_.push_back([cp, spec, in_buf, patch_buf, gemm_buf, out_buf, in_h, in_w,
-                    oh, ow, oc, fuse_relu, wp = std::move(wp)](
-                       ForwardArena& a, std::size_t rows) {
-    const float* in = a.fptr(in_buf);
-    float* patches = a.fptr(patch_buf);
-    float* gemm_out = a.fptr(gemm_buf);
-    float* out = a.fptr(out_buf);
-    tensor::im2col_into(in, rows, in_h, in_w, spec, patches);
-    std::size_t gemm_rows = rows * oh * ow;
-    tensor::gemm_packed(patches, gemm_rows, wp, cp->bias().data().data(),
-                        fuse_relu, /*accumulate=*/false, gemm_out);
-    std::size_t rows_per_image = oh * ow;
-    common::parallel_for(
-        0, rows,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t b = lo; b < hi; ++b) {
-            const float* src = gemm_out + b * rows_per_image * oc;
-            float* dst = out + b * oc * rows_per_image;
-            for (std::size_t pix = 0; pix < rows_per_image; ++pix) {
-              for (std::size_t c = 0; c < oc; ++c) {
-                dst[c * rows_per_image + pix] = src[pix * oc + c];
-              }
-            }
-          }
-        },
-        /*grain=*/1);
+                    fuse_relu, wp = std::move(wp)](ForwardArena& a,
+                                                   std::size_t rows) {
+    tensor::conv2d_packed_into(a.fptr(in_buf), rows, in_h, in_w, spec, wp,
+                               cp->bias().data().data(), fuse_relu,
+                               a.fptr(patch_buf), a.fptr(gemm_buf),
+                               a.fptr(out_buf));
   });
   return out_buf;
 }
@@ -230,124 +209,36 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     const tensor::Conv2dSpec spec = dw->spec();
     std::size_t in_h = sample.dim(1);
     std::size_t in_w = sample.dim(2);
-    std::size_t oh = spec.out_size(in_h);
-    std::size_t ow = spec.out_size(in_w);
-    std::size_t channels = spec.in_channels;
-    std::size_t out_buf = new_fbuf(channels * oh * ow);
+    std::size_t out_buf = new_fbuf(out_shape.elements());
     const nn::DepthwiseConv2d* p = dw;
-    steps_.push_back([p, spec, in_buf, out_buf, in_h, in_w, oh, ow, channels](
-                         ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* out = a.fptr(out_buf);
-      const float* w = p->weights().data().data();
-      const float* bias = p->bias().data().data();
-      common::parallel_for(
-          0, rows * channels,
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t plane = lo; plane < hi; ++plane) {
-              std::size_t b = plane / channels;
-              std::size_t ch = plane % channels;
-              const float* iplane = in + (b * channels + ch) * in_h * in_w;
-              float* oplane = out + (b * channels + ch) * oh * ow;
-              for (std::size_t y = 0; y < oh; ++y) {
-                for (std::size_t x = 0; x < ow; ++x) {
-                  double acc = bias[ch];
-                  for (std::size_t kh = 0; kh < spec.kernel; ++kh) {
-                    for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
-                      long ih = static_cast<long>(y * spec.stride + kh) -
-                                static_cast<long>(spec.padding);
-                      long iw = static_cast<long>(x * spec.stride + kw) -
-                                static_cast<long>(spec.padding);
-                      bool inside = ih >= 0 && iw >= 0 &&
-                                    static_cast<std::size_t>(ih) < in_h &&
-                                    static_cast<std::size_t>(iw) < in_w;
-                      float v = inside
-                                    ? iplane[static_cast<std::size_t>(ih) * in_w +
-                                             static_cast<std::size_t>(iw)]
-                                    : 0.0F;
-                      acc += static_cast<double>(v) *
-                             w[(ch * spec.kernel + kh) * spec.kernel + kw];
-                    }
-                  }
-                  oplane[y * ow + x] = static_cast<float>(acc);
-                }
-              }
-            }
-          },
-          /*grain=*/1);
+    steps_.push_back([p, spec, in_buf, out_buf, in_h, in_w](ForwardArena& a,
+                                                            std::size_t rows) {
+      tensor::depthwise_conv2d_into(a.fptr(in_buf), rows, in_h, in_w, spec,
+                                    p->weights().data().data(),
+                                    p->bias().data().data(), a.fptr(out_buf));
     });
     sample = out_shape;
     return out_buf;
   }
 
   // --- pooling ------------------------------------------------------------
-  if (auto* mp = dynamic_cast<nn::MaxPool2d*>(&layer)) {
-    tensor::Shape out_shape = mp->output_shape(sample);
-    std::size_t window = mp->window();
-    std::size_t channels = sample.dim(0);
+  auto* mp = dynamic_cast<nn::MaxPool2d*>(&layer);
+  auto* ap = dynamic_cast<nn::AvgPool2d*>(&layer);
+  if (mp != nullptr || ap != nullptr) {
+    tensor::Shape out_shape = layer.output_shape(sample);
+    std::size_t window = mp != nullptr ? mp->window() : ap->window();
+    std::size_t planes = sample.dim(0);
     std::size_t h = sample.dim(1);
     std::size_t w = sample.dim(2);
-    std::size_t oh = h / window;
-    std::size_t ow = w / window;
-    std::size_t out_buf = new_fbuf(channels * oh * ow);
-    steps_.push_back([in_buf, out_buf, window, channels, h, w, oh, ow](
-                         ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* out = a.fptr(out_buf);
-      for (std::size_t b = 0; b < rows; ++b) {
-        for (std::size_t ch = 0; ch < channels; ++ch) {
-          const float* iplane = in + (b * channels + ch) * h * w;
-          float* oplane = out + (b * channels + ch) * oh * ow;
-          for (std::size_t y = 0; y < oh; ++y) {
-            for (std::size_t x = 0; x < ow; ++x) {
-              float best = iplane[y * window * w + x * window];
-              for (std::size_t kh = 0; kh < window; ++kh) {
-                for (std::size_t kw = 0; kw < window; ++kw) {
-                  float v = iplane[(y * window + kh) * w + x * window + kw];
-                  if (v > best) best = v;
-                }
-              }
-              oplane[y * ow + x] = best;
-            }
-          }
-        }
-      }
-    });
-    sample = out_shape;
-    return out_buf;
-  }
-
-  if (auto* ap = dynamic_cast<nn::AvgPool2d*>(&layer)) {
-    tensor::Shape out_shape = ap->output_shape(sample);
-    std::size_t window = ap->window();
-    std::size_t channels = sample.dim(0);
-    std::size_t h = sample.dim(1);
-    std::size_t w = sample.dim(2);
-    std::size_t oh = h / window;
-    std::size_t ow = w / window;
-    std::size_t out_buf = new_fbuf(channels * oh * ow);
-    steps_.push_back([in_buf, out_buf, window, channels, h, w, oh, ow](
-                         ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* out = a.fptr(out_buf);
-      float inv_count = static_cast<float>(window * window);
-      for (std::size_t b = 0; b < rows; ++b) {
-        for (std::size_t ch = 0; ch < channels; ++ch) {
-          const float* iplane = in + (b * channels + ch) * h * w;
-          float* oplane = out + (b * channels + ch) * oh * ow;
-          for (std::size_t y = 0; y < oh; ++y) {
-            for (std::size_t x = 0; x < ow; ++x) {
-              float acc = 0.0F;
-              for (std::size_t kh = 0; kh < window; ++kh) {
-                for (std::size_t kw = 0; kw < window; ++kw) {
-                  acc = acc + iplane[(y * window + kh) * w + x * window + kw];
-                }
-              }
-              acc /= inv_count;
-              oplane[y * ow + x] = acc;
-            }
-          }
-        }
+    std::size_t out_buf = new_fbuf(out_shape.elements());
+    steps_.push_back([in_buf, out_buf, window, planes, h, w,
+                      max = mp != nullptr](ForwardArena& a, std::size_t rows) {
+      if (max) {
+        tensor::maxpool2d_into(a.fptr(in_buf), rows * planes, h, w, window,
+                               a.fptr(out_buf));
+      } else {
+        tensor::avgpool2d_into(a.fptr(in_buf), rows * planes, h, w, window,
+                               a.fptr(out_buf));
       }
     });
     sample = out_shape;
@@ -361,17 +252,8 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     std::size_t out_buf = new_fbuf(channels);
     steps_.push_back([in_buf, out_buf, channels, hw](ForwardArena& a,
                                                      std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* out = a.fptr(out_buf);
-      for (std::size_t b = 0; b < rows; ++b) {
-        for (std::size_t ch = 0; ch < channels; ++ch) {
-          const float* iplane = in + (b * channels + ch) * hw;
-          double acc = 0.0;
-          for (std::size_t i = 0; i < hw; ++i) acc += iplane[i];
-          out[b * channels + ch] =
-              static_cast<float>(acc / static_cast<double>(hw));
-        }
-      }
+      tensor::global_avgpool_into(a.fptr(in_buf), rows * channels, hw,
+                                  a.fptr(out_buf));
     });
     sample = out_shape;
     return out_buf;
@@ -397,15 +279,8 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     steps_.push_back([in_buf, out_buf, features, hw, elems, mean, gamma, beta,
                       inv_std = std::move(inv_std)](ForwardArena& a,
                                                     std::size_t rows) {
-      const float* x = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          std::size_t f = (i / hw) % features;
-          float nh = (x[i] - mean[f]) * inv_std[f];
-          o[i] = gamma[f] * nh + beta[f];
-        }
-      });
+      tensor::batchnorm_into(a.fptr(in_buf), rows * elems, features, hw, mean,
+                             inv_std.data(), gamma, beta, a.fptr(out_buf));
     });
     sample = out_shape;
     return out_buf;
@@ -434,55 +309,26 @@ std::optional<std::size_t> ForwardArena::plan_layer(nn::Layer& layer,
     std::size_t out_buf = new_fbuf(elems);
     steps_.push_back([body_buf, shortcut_buf, out_buf, elems](ForwardArena& a,
                                                               std::size_t rows) {
-      const float* b = a.fptr(body_buf);
-      const float* s = a.fptr(shortcut_buf);
-      float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) o[i] = b[i] + s[i];
-      });
+      tensor::add_into(a.fptr(body_buf), a.fptr(shortcut_buf), rows * elems,
+                       a.fptr(out_buf));
     });
     sample = body_shape;
     return out_buf;
   }
 
   // --- elementwise / shape ------------------------------------------------
-  if (dynamic_cast<nn::Relu*>(&layer) != nullptr) {
-    std::size_t elems = sample.elements();
-    std::size_t out_buf = new_fbuf(elems);
-    steps_.push_back([in_buf, out_buf, elems](ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) o[i] = in[i] > 0.0F ? in[i] : 0.0F;
-      });
-    });
-    return out_buf;
-  }
-
+  void (*activation)(const float*, std::size_t, float*) = nullptr;
+  if (dynamic_cast<nn::Relu*>(&layer) != nullptr) activation = tensor::relu_into;
   if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr) {
-    std::size_t elems = sample.elements();
-    std::size_t out_buf = new_fbuf(elems);
-    steps_.push_back([in_buf, out_buf, elems](ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          o[i] = 1.0F / (1.0F + std::exp(-in[i]));
-        }
-      });
-    });
-    return out_buf;
+    activation = tensor::sigmoid_into;
   }
-
-  if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
+  if (dynamic_cast<nn::Tanh*>(&layer) != nullptr) activation = tensor::tanh_into;
+  if (activation != nullptr) {
     std::size_t elems = sample.elements();
     std::size_t out_buf = new_fbuf(elems);
-    steps_.push_back([in_buf, out_buf, elems](ForwardArena& a, std::size_t rows) {
-      const float* in = a.fptr(in_buf);
-      float* o = a.fptr(out_buf);
-      common::parallel_for(0, rows * elems, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) o[i] = std::tanh(in[i]);
-      });
+    steps_.push_back([activation, in_buf, out_buf, elems](ForwardArena& a,
+                                                          std::size_t rows) {
+      activation(a.fptr(in_buf), rows * elems, a.fptr(out_buf));
     });
     return out_buf;
   }

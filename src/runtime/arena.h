@@ -2,12 +2,15 @@
 // partly by avoiding per-inference allocation and dispatch overhead).
 //
 // ForwardArena::plan walks a model once at session construction, sizes every
-// forward-pass buffer (layer outputs, im2col patches, int8 staging), and
-// compiles the layer graph into a flat list of steps over those buffers.
-// Steady-state run()/predict() then performs zero heap allocations: buffers
-// are plain grow-only vectors reused across calls, and every step replicates
-// the corresponding layer's per-element arithmetic exactly, so arena output
-// is bit-identical to Model::forward at any thread count.
+// forward-pass buffer (layer outputs, im2col patches, int8 staging), prepacks
+// GEMM weights, precomputes BatchNorm's inv_std from the running stats, folds
+// a ReLU that follows a GEMM-backed layer into its epilogue, and compiles the
+// layer graph into a flat list of steps over those buffers.  Steady-state
+// run()/predict() then performs zero heap allocations: buffers are plain
+// grow-only vectors reused across calls.  The arena holds no arithmetic of
+// its own: each step calls the raw-pointer kernel (tensor/ops.h, or a
+// quantized layer's forward_into) that the layer's Tensor forward also calls,
+// so arena output is bit-identical to Model::forward at any thread count.
 //
 // Planning returns nullptr for layer types the arena does not understand;
 // callers fall back to the Tensor path, which computes the same values.
@@ -86,9 +89,9 @@ class ForwardArena {
                                         std::size_t in_buf, nn::Layer* next,
                                         bool* fused_next);
   /// Shared float-conv planner (Conv2d and both halves of FactoredConv2d).
-  /// Prepacks the im2col weight matrix at plan time; `fuse_relu` folds a
-  /// following ReLU into the GEMM epilogue (applied before the NCHW scatter,
-  /// which is a pure reorder — same values as ReLU after it).
+  /// Prepacks the im2col weight matrix at plan time for
+  /// tensor::conv2d_packed_into; `fuse_relu` folds a following ReLU into the
+  /// GEMM epilogue.
   std::size_t plan_conv(const nn::Conv2d& conv, const tensor::Shape& in_sample,
                         std::size_t in_buf, bool fuse_relu);
 

@@ -93,7 +93,7 @@ std::vector<InferenceResult> InferenceSession::predict_batch(
   // Arena path: stage fused rows into a grow-only scratch vector and run the
   // pre-planned executor — no Tensor construction, so steady-state batched
   // inference stays allocation-free.  Values are bit-identical to the Tensor
-  // path (the arena replicates every layer's arithmetic exactly).
+  // path (each arena step calls the kernel its layer's forward calls).
   std::vector<std::size_t> fused_predictions;
   bool done = false;
   if (arena_ != nullptr) {

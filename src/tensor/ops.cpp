@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -188,152 +189,254 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& spec) {
   return out;
 }
 
-Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
-                     const Conv2dSpec& spec) {
-  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/false);
-  std::size_t n = input.shape().dim(0);
-  std::size_t out_h = spec.out_size(input.shape().dim(2));
-  std::size_t out_w = spec.out_size(input.shape().dim(3));
-  std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-
-  Tensor patches = im2col(input, spec);                           // [N*oh*ow, patch]
-  Tensor w2 = weights.reshaped(Shape{spec.out_channels, patch});  // [oc, patch]
-  // Pack W^T into kernel panels and run the dispatched microkernels with the
-  // bias fused into the epilogue — the same path the forward arena prepacks,
-  // so the two conv routes stay bitwise-identical.
-  PackedMatrix wp = PackedMatrix::pack_transposed(w2);            // B: [patch, oc]
-  Tensor result(Shape{patches.shape().dim(0), spec.out_channels});
-  gemm_packed(patches.data().data(), patches.shape().dim(0), wp,
-              bias.data().data(), /*fuse_relu=*/false, /*accumulate=*/false,
-              result.data().data());
-
-  // Scatter [N*oh*ow, oc] back to NCHW; images write disjoint slices.
-  Tensor out(Shape{n, spec.out_channels, out_h, out_w});
-  std::size_t rows_per_image = out_h * out_w;
+void scatter_nchw_into(const float* src, std::size_t n, std::size_t pixels,
+                       std::size_t channels, float* out) {
+  // Images write disjoint slices.
   common::parallel_for(
       0, n,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t b = lo; b < hi; ++b) {
-          std::size_t row = b * rows_per_image;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow, ++row) {
-              for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
-                out.at4(b, oc, oh, ow) = result.at2(row, oc);
-              }
+          const float* image_src = src + b * pixels * channels;
+          float* image_out = out + b * channels * pixels;
+          for (std::size_t pix = 0; pix < pixels; ++pix) {
+            for (std::size_t c = 0; c < channels; ++c) {
+              image_out[c * pixels + pix] = image_src[pix * channels + c];
             }
           }
         }
       },
       /*grain=*/1);
+}
+
+void conv2d_packed_into(const float* input, std::size_t n, std::size_t in_h,
+                        std::size_t in_w, const Conv2dSpec& spec,
+                        const PackedMatrix& weights, const float* bias,
+                        bool fuse_relu, float* patches, float* gemm_scratch,
+                        float* out) {
+  std::size_t pixels = spec.out_size(in_h) * spec.out_size(in_w);
+  im2col_into(input, n, in_h, in_w, spec, patches);
+  // A fused ReLU runs before the scatter, which is a pure reorder — the same
+  // values as a ReLU after it.
+  gemm_packed(patches, n * pixels, weights, bias, fuse_relu,
+              /*accumulate=*/false, gemm_scratch);
+  scatter_nchw_into(gemm_scratch, n, pixels, spec.out_channels, out);
+}
+
+Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
+                     const Conv2dSpec& spec) {
+  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/false);
+  std::size_t n = input.shape().dim(0);
+  std::size_t in_h = input.shape().dim(2);
+  std::size_t in_w = input.shape().dim(3);
+  std::size_t out_h = spec.out_size(in_h);
+  std::size_t out_w = spec.out_size(in_w);
+  std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+
+  Tensor patches(Shape{n * out_h * out_w, patch});
+  Tensor gemm_scratch(Shape{n * out_h * out_w, spec.out_channels});
+  Tensor out(Shape{n, spec.out_channels, out_h, out_w});
+  conv2d_packed_into(
+      input.data().data(), n, in_h, in_w, spec,
+      PackedMatrix::pack_transposed(
+          weights.reshaped(Shape{spec.out_channels, patch})),
+      bias.data().data(), /*fuse_relu=*/false, patches.data().data(),
+      gemm_scratch.data().data(), out.data().data());
   return out;
 }
 
-Tensor depthwise_conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
-                        const Conv2dSpec& spec) {
-  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/true);
-  std::size_t n = input.shape().dim(0);
+void depthwise_conv2d_into(const float* input, std::size_t n, std::size_t in_h,
+                           std::size_t in_w, const Conv2dSpec& spec,
+                           const float* weights, const float* bias, float* out) {
   std::size_t channels = spec.in_channels;
-  std::size_t out_h = spec.out_size(input.shape().dim(2));
-  std::size_t out_w = spec.out_size(input.shape().dim(3));
-
-  Tensor out(Shape{n, channels, out_h, out_w});
+  std::size_t out_h = spec.out_size(in_h);
+  std::size_t out_w = spec.out_size(in_w);
   // Each (image, channel) plane is independent: disjoint output, per-plane
   // accumulation order unchanged — bit-identical at any thread count.
   common::parallel_for(
       0, n * channels,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t plane = lo; plane < hi; ++plane) {
-          std::size_t b = plane / channels;
-          std::size_t c = plane % channels;
-          for (std::size_t oh = 0; oh < out_h; ++oh) {
-            for (std::size_t ow = 0; ow < out_w; ++ow) {
-              double acc = bias[c];
+          std::size_t ch = plane % channels;
+          const float* iplane = input + plane * in_h * in_w;
+          float* oplane = out + plane * out_h * out_w;
+          for (std::size_t y = 0; y < out_h; ++y) {
+            for (std::size_t x = 0; x < out_w; ++x) {
+              double acc = bias[ch];
               for (std::size_t kh = 0; kh < spec.kernel; ++kh) {
                 for (std::size_t kw = 0; kw < spec.kernel; ++kw) {
-                  long ih = static_cast<long>(oh * spec.stride + kh) -
+                  long ih = static_cast<long>(y * spec.stride + kh) -
                             static_cast<long>(spec.padding);
-                  long iw = static_cast<long>(ow * spec.stride + kw) -
+                  long iw = static_cast<long>(x * spec.stride + kw) -
                             static_cast<long>(spec.padding);
-                  acc +=
-                      static_cast<double>(input_at_or_zero(input, b, c, ih, iw)) *
-                      weights.at4(c, 0, kh, kw);
+                  bool inside = ih >= 0 && iw >= 0 &&
+                                static_cast<std::size_t>(ih) < in_h &&
+                                static_cast<std::size_t>(iw) < in_w;
+                  float v = inside ? iplane[static_cast<std::size_t>(ih) * in_w +
+                                            static_cast<std::size_t>(iw)]
+                                   : 0.0F;
+                  acc += static_cast<double>(v) *
+                         weights[(ch * spec.kernel + kh) * spec.kernel + kw];
                 }
               }
-              out.at4(b, c, oh, ow) = static_cast<float>(acc);
+              oplane[y * out_w + x] = static_cast<float>(acc);
             }
           }
         }
       },
       /*grain=*/1);
+}
+
+Tensor depthwise_conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
+                        const Conv2dSpec& spec) {
+  check_conv_inputs(input, weights, bias, spec, /*depthwise=*/true);
+  std::size_t n = input.shape().dim(0);
+  std::size_t in_h = input.shape().dim(2);
+  std::size_t in_w = input.shape().dim(3);
+  Tensor out(
+      Shape{n, spec.in_channels, spec.out_size(in_h), spec.out_size(in_w)});
+  depthwise_conv2d_into(input.data().data(), n, in_h, in_w, spec,
+                        weights.data().data(), bias.data().data(),
+                        out.data().data());
   return out;
+}
+
+void maxpool2d_into(const float* input, std::size_t planes, std::size_t h,
+                    std::size_t w, std::size_t window, float* out,
+                    std::size_t* winners) {
+  std::size_t out_h = h / window;
+  std::size_t out_w = w / window;
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const float* iplane = input + plane * h * w;
+    for (std::size_t y = 0; y < out_h; ++y) {
+      for (std::size_t x = 0; x < out_w; ++x) {
+        std::size_t best_at = y * window * w + x * window;
+        float best = iplane[best_at];
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            std::size_t at = (y * window + kh) * w + x * window + kw;
+            if (iplane[at] > best) {
+              best = iplane[at];
+              best_at = at;
+            }
+          }
+        }
+        std::size_t o = (plane * out_h + y) * out_w + x;
+        out[o] = best;
+        if (winners != nullptr) winners[o] = plane * h * w + best_at;
+      }
+    }
+  }
+}
+
+void avgpool2d_into(const float* input, std::size_t planes, std::size_t h,
+                    std::size_t w, std::size_t window, float* out) {
+  std::size_t out_h = h / window;
+  std::size_t out_w = w / window;
+  auto count = static_cast<float>(window * window);
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const float* iplane = input + plane * h * w;
+    float* oplane = out + plane * out_h * out_w;
+    for (std::size_t y = 0; y < out_h; ++y) {
+      for (std::size_t x = 0; x < out_w; ++x) {
+        float acc = 0.0F;
+        for (std::size_t kh = 0; kh < window; ++kh) {
+          for (std::size_t kw = 0; kw < window; ++kw) {
+            acc += iplane[(y * window + kh) * w + x * window + kw];
+          }
+        }
+        oplane[y * out_w + x] = acc / count;
+      }
+    }
+  }
+}
+
+void global_avgpool_into(const float* input, std::size_t planes, std::size_t hw,
+                         float* out) {
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const float* iplane = input + plane * hw;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < hw; ++i) acc += iplane[i];
+    out[plane] = static_cast<float>(acc / static_cast<double>(hw));
+  }
+}
+
+void batchnorm_into(const float* x, std::size_t count, std::size_t features,
+                    std::size_t hw, const float* mean, const float* inv_std,
+                    const float* gamma, const float* beta, float* out,
+                    float* normalized) {
+  common::parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      std::size_t f = (i / hw) % features;
+      float nh = (x[i] - mean[f]) * inv_std[f];
+      if (normalized != nullptr) normalized[i] = nh;
+      out[i] = gamma[f] * nh + beta[f];
+    }
+  });
+}
+
+void relu_into(const float* in, std::size_t count, float* out) {
+  common::parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = in[i] > 0.0F ? in[i] : 0.0F;
+  });
+}
+
+void sigmoid_into(const float* in, std::size_t count, float* out) {
+  common::parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = 1.0F / (1.0F + std::exp(-in[i]));
+  });
+}
+
+void tanh_into(const float* in, std::size_t count, float* out) {
+  common::parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = std::tanh(in[i]);
+  });
+}
+
+void add_into(const float* a, const float* b, std::size_t count, float* out) {
+  common::parallel_for(0, count, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
+  });
 }
 
 namespace {
 
-template <typename Reduce>
-Tensor pool2d(const Tensor& input, std::size_t window, float init, Reduce reduce,
-              bool average) {
+/// Checks a pooling input and returns its NCHW dims.
+std::array<std::size_t, 4> pool_dims(const Tensor& input, std::size_t window) {
   OPENEI_CHECK(input.shape().rank() == 4, "pooling input must be NCHW");
   OPENEI_CHECK(window > 0, "zero pooling window");
-  std::size_t n = input.shape().dim(0);
-  std::size_t c = input.shape().dim(1);
-  std::size_t h = input.shape().dim(2);
-  std::size_t w = input.shape().dim(3);
-  OPENEI_CHECK(h >= window && w >= window, "pooling window ", window,
-               " larger than input ", h, "x", w);
-  std::size_t out_h = h / window;
-  std::size_t out_w = w / window;
-
-  Tensor out(Shape{n, c, out_h, out_w});
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      for (std::size_t oh = 0; oh < out_h; ++oh) {
-        for (std::size_t ow = 0; ow < out_w; ++ow) {
-          float acc = init;
-          for (std::size_t kh = 0; kh < window; ++kh) {
-            for (std::size_t kw = 0; kw < window; ++kw) {
-              acc = reduce(acc, input.at4(b, ch, oh * window + kh, ow * window + kw));
-            }
-          }
-          if (average) acc /= static_cast<float>(window * window);
-          out.at4(b, ch, oh, ow) = acc;
-        }
-      }
-    }
-  }
-  return out;
+  const auto& d = input.shape().dims();
+  OPENEI_CHECK(d[2] >= window && d[3] >= window, "pooling window ", window,
+               " larger than input ", d[2], "x", d[3]);
+  return {d[0], d[1], d[2], d[3]};
 }
 
 }  // namespace
 
-Tensor maxpool2d(const Tensor& input, std::size_t window) {
-  return pool2d(
-      input, window, -std::numeric_limits<float>::infinity(),
-      [](float a, float b) { return std::max(a, b); }, /*average=*/false);
+Tensor maxpool2d(const Tensor& input, std::size_t window,
+                 std::vector<std::size_t>* winners) {
+  auto [n, c, h, w] = pool_dims(input, window);
+  Tensor out(Shape{n, c, h / window, w / window});
+  if (winners != nullptr) winners->assign(out.elements(), 0);
+  maxpool2d_into(input.data().data(), n * c, h, w, window, out.data().data(),
+                 winners != nullptr ? winners->data() : nullptr);
+  return out;
 }
 
 Tensor avgpool2d(const Tensor& input, std::size_t window) {
-  return pool2d(
-      input, window, 0.0F, [](float a, float b) { return a + b; }, /*average=*/true);
+  auto [n, c, h, w] = pool_dims(input, window);
+  Tensor out(Shape{n, c, h / window, w / window});
+  avgpool2d_into(input.data().data(), n * c, h, w, window, out.data().data());
+  return out;
 }
 
 Tensor global_avgpool(const Tensor& input) {
   OPENEI_CHECK(input.shape().rank() == 4, "global_avgpool input must be NCHW");
   std::size_t n = input.shape().dim(0);
   std::size_t c = input.shape().dim(1);
-  std::size_t hw = input.shape().dim(2) * input.shape().dim(3);
   Tensor out(Shape{n, c});
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      double acc = 0.0;
-      for (std::size_t h = 0; h < input.shape().dim(2); ++h) {
-        for (std::size_t w = 0; w < input.shape().dim(3); ++w) {
-          acc += input.at4(b, ch, h, w);
-        }
-      }
-      out.at2(b, ch) = static_cast<float>(acc / static_cast<double>(hw));
-    }
-  }
+  global_avgpool_into(input.data().data(), n * c,
+                      input.shape().dim(2) * input.shape().dim(3),
+                      out.data().data());
   return out;
 }
 

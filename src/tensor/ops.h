@@ -3,6 +3,11 @@
 // Convolution is implemented both directly and via im2col+matmul; the two
 // paths are property-tested for equivalence and the matmul path is what the
 // FLOP-based hardware cost model (src/hwsim) assumes.
+//
+// Each inference op has one raw-pointer `*_into` kernel, called by the Tensor
+// ops and nn layers, by the forward arena (runtime/arena.h) and by the
+// quantized conv, so Model::forward and the served path compute the same
+// values in the same order, bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -10,6 +15,8 @@
 #include "tensor/tensor.h"
 
 namespace openei::tensor {
+
+class PackedMatrix;  // tensor/pack.h
 
 /// C = A(mxk) * B(kxn).  Rank-2 inputs required.
 Tensor matmul(const Tensor& a, const Tensor& b);
@@ -47,17 +54,66 @@ Tensor im2col(const Tensor& input, const Conv2dSpec& spec);
 void im2col_into(const float* input, std::size_t n, std::size_t in_h,
                  std::size_t in_w, const Conv2dSpec& spec, float* out);
 
+/// Scatters a GEMM result [n*pixels, channels] back to NCHW
+/// [n, channels, pixels].
+void scatter_nchw_into(const float* src, std::size_t n, std::size_t pixels,
+                       std::size_t channels, float* out);
+
+/// im2col -> gemm_packed (bias, optional ReLU fused) -> NCHW scatter, with
+/// `weights` the [patch, out_c] packing; `patches` holds [n*oh*ow, patch]
+/// floats and `gemm_scratch` [n*oh*ow, out_c].
+void conv2d_packed_into(const float* input, std::size_t n, std::size_t in_h,
+                        std::size_t in_w, const Conv2dSpec& spec,
+                        const PackedMatrix& weights, const float* bias,
+                        bool fuse_relu, float* patches, float* gemm_scratch,
+                        float* out);
+
 /// Convolution via im2col + matmul; numerically equivalent to conv2d().
+/// Packs the weights per call and runs conv2d_packed_into.
 Tensor conv2d_im2col(const Tensor& input, const Tensor& weights, const Tensor& bias,
                      const Conv2dSpec& spec);
+
+/// Depthwise conv over NCHW input; weights [C, 1, k, k], bias [C].
+void depthwise_conv2d_into(const float* input, std::size_t n, std::size_t in_h,
+                           std::size_t in_w, const Conv2dSpec& spec,
+                           const float* weights, const float* bias, float* out);
 
 /// Depthwise convolution: weights [channels, 1, k, k], one filter per input
 /// channel (the MobileNet building block, paper Sec. IV-A2).
 Tensor depthwise_conv2d(const Tensor& input, const Tensor& weights, const Tensor& bias,
                         const Conv2dSpec& spec);
 
+/// Max pooling over `planes` h x w planes, window == stride; `winners`, when
+/// non-null, receives each output's flat input index (first maximum wins).
+void maxpool2d_into(const float* input, std::size_t planes, std::size_t h,
+                    std::size_t w, std::size_t window, float* out,
+                    std::size_t* winners = nullptr);
+
+/// Average pooling over `planes` h x w planes, window == stride.
+void avgpool2d_into(const float* input, std::size_t planes, std::size_t h,
+                    std::size_t w, std::size_t window, float* out);
+
+/// Mean of each of `planes` planes of `hw` elements.
+void global_avgpool_into(const float* input, std::size_t planes, std::size_t hw,
+                         float* out);
+
+/// out = gamma[f] * ((x - mean[f]) * inv_std[f]) + beta[f] with
+/// f = (i / hw) % features; `normalized`, when non-null, receives x_hat.
+void batchnorm_into(const float* x, std::size_t count, std::size_t features,
+                    std::size_t hw, const float* mean, const float* inv_std,
+                    const float* gamma, const float* beta, float* out,
+                    float* normalized = nullptr);
+
+/// Elementwise kernels over `count` floats; `out` may alias an input.
+void relu_into(const float* in, std::size_t count, float* out);
+void sigmoid_into(const float* in, std::size_t count, float* out);
+void tanh_into(const float* in, std::size_t count, float* out);
+void add_into(const float* a, const float* b, std::size_t count, float* out);
+
 /// 2-D max pooling over NCHW with square window and stride == window.
-Tensor maxpool2d(const Tensor& input, std::size_t window);
+/// `winners`, when non-null, is filled as in maxpool2d_into.
+Tensor maxpool2d(const Tensor& input, std::size_t window,
+                 std::vector<std::size_t>* winners = nullptr);
 
 /// 2-D average pooling over NCHW with square window and stride == window.
 Tensor avgpool2d(const Tensor& input, std::size_t window);

@@ -149,6 +149,11 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("\"unterminated"), ParseError);
   EXPECT_THROW(Json::parse("1 2"), ParseError);
   EXPECT_THROW(Json::parse("--3"), ParseError);
+  // RFC 8259 number grammar: no dangling exponent, no leading zero, a digit
+  // on both sides of the '.'.
+  for (const char* bad : {"1e", "1e+", "01", ".5", "-.5", "[1.,.5]", "1."}) {
+    EXPECT_THROW(Json::parse(bad), ParseError) << bad;
+  }
 }
 
 TEST(JsonTest, DeepNestingIsRejectedNotStackOverflowed) {
@@ -198,7 +203,7 @@ std::string printf_double(const char* format, double value) {
 // must be the double strtod reads from the same token, bit for bit.
 TEST(JsonTest, NumbersParseBitIdenticalToStrtod) {
   std::vector<std::string> corpus = {
-      "0", "-0", "-0.0", "1E+5", "1e-5", "2.5e+0", "1.", "-.5", "9007199254740993",
+      "0", "-0", "-0.0", "1E+5", "1e-5", "2.5e+0", "1.0", "-0.5", "9007199254740993",
       "1e400", "-1e400", "1e-400", "-1e-400", "1e-320",
       "4.9406564584124654e-324", "2.4703282292062327e-324", "2.2250738585072009e-308",
       "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623159e308",

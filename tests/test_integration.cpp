@@ -127,16 +127,77 @@ TEST(FailureInjection, DeployingOversizedModelIsRejectedAtCallTime) {
   EXPECT_NE(response.body.find("error"), std::string::npos);
 }
 
+// Every malformed model upload answers 400 and a rollback with no prior
+// version answers 409. Each body parses as JSON even when its message quotes
+// the document or the model name, nothing is allocated from unchecked wire
+// dims, and the node keeps serving the model it served before.
 TEST(FailureInjection, MalformedModelPushRejected) {
+  Rng rng(305);
   core::EdgeNode node(core::EdgeNodeConfig{hwsim::raspberry_pi_4(),
                                            hwsim::openei_package(), 16});
-  auto bad_json = node.call("POST", "/ei_models?scenario=s&algorithm=a",
-                            "{this is not json");
-  EXPECT_EQ(bad_json.status, 400);
-  auto bad_format = node.call("POST", "/ei_models?scenario=s&algorithm=a",
-                              R"({"format":"bogus"})");
-  EXPECT_NE(bad_format.status, 201);
-  EXPECT_EQ(node.registry().size(), 0U);
+  node.deploy_model("home", "monitor", nn::zoo::make_mlp("quo\"ted", 4, 2, {4}, rng),
+                    0.9);
+  auto port = node.start_server(0);
+  net::HttpClient client(port);
+  auto expect_json_error = [](const net::HttpResponse& response,
+                              const std::string& what) {
+    try {
+      EXPECT_TRUE(Json::parse(response.body).at("error").is_string()) << what;
+    } catch (const std::exception&) {
+      ADD_FAILURE() << what << ": body is not JSON: " << response.body;
+    }
+  };
+
+  const std::string head = R"({"format":"openei-model-v1","name":"bad","input_shape":)";
+  const std::string bn_tensor = R"({"shape":[2],"values":[1,1]})";
+  const std::vector<std::pair<std::string, std::string>> uploads = {
+      {"not JSON", "{this is not json"},
+      {"wrong format string",
+       R"({"format":"openei-model-v2","name":"bad","input_shape":[2],"layers":[]})"},
+      {"missing format key", R"({"name":"bad","input_shape":[2],"layers":[]})"},
+      {"dense shape/value-count mismatch",
+       head + R"([2],"layers":[{"type":"dense","config":{},)"
+              R"("weights":{"shape":[2,3],"values":[1,2,3,4,5]},)"
+              R"("bias":{"shape":[3],"values":[0,0,0]}}]})"},
+      {"name not a string",
+       R"({"format":"openei-model-v1","name":7,"input_shape":[2],"layers":[]})"},
+      {"maxpool window larger than the input",
+       head + R"([1,4,4],"layers":[{"type":"maxpool2d","config":{"window":8}}]})"},
+      {"quantized_dense dims far beyond its one value",
+       head + R"([2],"layers":[{"type":"quantized_dense","config":{"scales":[1.0]},)"
+              R"("weights":{"shape":[1048576,1048576],"values":[1]},)"
+              R"("bias":{"shape":[1],"values":[0]}}]})"},
+      {"weight shape whose element count overflows",
+       head + R"([2],"layers":[{"type":"dense","config":{},)"
+              R"("weights":{"shape":[4294967296,4294967296],"values":[]},)"
+              R"("bias":{"shape":[1],"values":[0]}}]})"},
+      {"batchnorm features far beyond its tensors",
+       head + R"([2],"layers":[{"type":"batchnorm",)"
+              R"("config":{"features":1099511627776,"momentum":0.9,"epsilon":1e-5},)"
+              R"("gamma":)" + bn_tensor + R"(,"beta":)" + bn_tensor +
+              R"(,"running_mean":)" + bn_tensor + R"(,"running_var":)" + bn_tensor +
+              "}]}"},
+      {"layer type holding a quote",
+       head + R"([2],"layers":[{"type":"x\"y","config":{}}]})"},
+  };
+  for (const auto& [what, body] : uploads) {
+    net::HttpResponse response =
+        client.post("/ei_models?scenario=home&algorithm=monitor", body);
+    EXPECT_EQ(response.status, 400) << what << ": " << response.body;
+    expect_json_error(response, what);
+  }
+
+  auto conflict = client.del("/ei_models/quo%22ted?rollback=1");
+  EXPECT_EQ(conflict.status, 409) << conflict.body;
+  expect_json_error(conflict, "rollback conflict");
+  EXPECT_NE(conflict.body.find(R"(quo\"ted)"), std::string::npos) << conflict.body;
+
+  EXPECT_EQ(node.registry().size(), 1U);
+  auto served = client.get("/ei_algorithms/home/monitor?input=" +
+                           common::uri_encode("[[0.1,0.2,0.3,0.4]]"));
+  ASSERT_EQ(served.status, 200) << served.body;
+  EXPECT_EQ(Json::parse(served.body).at("model").as_string(), "quo\"ted");
+  node.stop_server();
 }
 
 TEST(FailureInjection, ServerSurvivesBurstOfBadRequests) {
